@@ -172,7 +172,6 @@ writeArbPerfJson(const std::string &path, const BenchArgs &args,
     w.field("cpus", static_cast<uint64_t>(
         std::thread::hardware_concurrency()));
     w.field("jobs", static_cast<uint64_t>(args.jobs));
-    w.field("engine_mode", std::string("n/a"));
     w.endObject();
     w.key("totals").beginObject();
     w.field("wall_seconds", wall);

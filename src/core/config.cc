@@ -66,17 +66,6 @@ MachineConfig::fromEnv()
     std::string traceEnv = envStr("ISRF_TRACE");
     if (!traceEnv.empty())
         traceSpec = traceEnv == "0" ? "" : traceEnv;
-    std::string engineEnv = envStr("ISRF_ENGINE");
-    if (engineEnv == "dense") {
-        engineMode = EngineMode::Dense;
-    } else if (engineEnv == "skip") {
-        engineMode = EngineMode::Skip;
-    } else if (!engineEnv.empty()) {
-        errs.push_back(strprintf("ISRF_ENGINE='%s' is invalid (expected "
-                                 "dense|skip); using %s",
-                                 engineEnv.c_str(),
-                                 engineModeName(engineMode)));
-    }
     Profiler::parseSpec(envStr("ISRF_PROFILE"), profileEnabled,
                         profileStride, &errs);
     deadlineCheckCycles =
@@ -117,13 +106,22 @@ MachineConfig::validate() const
     if (srf.seqWidth > 8)
         errs.push_back("seqWidth > 8 unsupported (the sequential row "
                        "buffer is 8 words wide)");
-    if (srf.maxStreamSlots + 1 > RoundRobinArbiter::kMaxClaimants)
+    if (srf.maxStreamSlots >= RoundRobinArbiter::kMaxClaimants)
         errs.push_back("maxStreamSlots must leave the global arbiter "
                        "at most 64 claimants (slots + the indexed "
                        "bundle)");
+    if (srf.maxStreamSlots == 0)
+        errs.push_back("maxStreamSlots must be nonzero");
     if (srf.laneWords == 0)
         errs.push_back("laneWords must be nonzero");
-    if (dram.wordsPerCycle <= 0)
+    if (srf.addrFifoSize == 0)
+        errs.push_back("addrFifoSize must be nonzero");
+    if (srf.remoteQueueDepth == 0)
+        errs.push_back("remoteQueueDepth must be nonzero");
+    if (srf.streamBufWords < srf.seqWidth)
+        errs.push_back("streamBufWords must hold one sequential access "
+                       "(at least seqWidth words)");
+    if (!(dram.wordsPerCycle > 0))  // NaN included
         errs.push_back("DRAM bandwidth (wordsPerCycle) must be positive");
     if (dram.accessLatency == 0)
         errs.push_back("DRAM accessLatency must be nonzero");
@@ -138,6 +136,17 @@ MachineConfig::validate() const
         errs.push_back("SRF mode inconsistent with machine kind");
     if (mem.units == 0)
         errs.push_back("mem.units must be nonzero");
+    if (mem.stagingWords < srf.seqAccessWords())
+        errs.push_back("mem.stagingWords must hold one SRF block "
+                       "(at least lanes x seqWidth words)");
+    if (cache.lineWords == 0 || cache.ways == 0 || cache.banks == 0)
+        errs.push_back("cache lineWords, ways and banks must all be "
+                       "nonzero");
+    else if (cache.capacityWords == 0 ||
+             cache.capacityWords %
+                 (uint64_t{cache.lineWords} * cache.ways) != 0)
+        errs.push_back("cache capacityWords must be a nonzero multiple "
+                       "of lineWords x ways");
 
     if (errs.empty())
         return;

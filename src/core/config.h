@@ -27,6 +27,13 @@ enum class MachineKind : uint8_t {
 
 const char *machineKindName(MachineKind kind);
 
+/**
+ * Nothing reads this: the tick engine has one mode. It and
+ * MachineConfig::engineMode exist only because the benchmark harness
+ * (perfbench) still assigns engineMode = EngineMode::Dense.
+ */
+enum class EngineMode : uint8_t { Dense };
+
 /** Full machine parameterization (defaults = Table 3). */
 struct MachineConfig
 {
@@ -61,12 +68,7 @@ struct MachineConfig
      */
     uint64_t statSampleInterval = 0;
 
-    /**
-     * Tick-engine mode: Dense ticks every component every cycle (the
-     * oracle); Skip fast-forwards over provably quiescent cycles while
-     * keeping all statistics cycle-for-cycle identical (DESIGN.md
-     * §sim). fromEnv() overlays ISRF_ENGINE (dense|skip) here.
-     */
+    /** Unread; see EngineMode. */
     EngineMode engineMode = EngineMode::Dense;
 
     /**
@@ -123,13 +125,11 @@ struct MachineConfig
 
     /**
      * Overlay the ISRF_* environment overrides (ISRF_FAULTS,
-     * ISRF_SAMPLE, ISRF_TRACE, ISRF_TRACE_CAPACITY, ISRF_ENGINE,
-     * ISRF_PROFILE)
-     * onto this config
-     * and return it. This is the ONE place the environment is
-     * consulted: Machine::init reads only the config it is handed, so
-     * machines built in the same process can never observe each
-     * other's configuration. Malformed numeric values are collected
+     * ISRF_SAMPLE, ISRF_TRACE, ISRF_TRACE_CAPACITY, ISRF_PROFILE,
+     * ISRF_DEADLINE_CHECK) onto this config and return it. This is
+     * the ONE place the environment is consulted: Machine::init reads
+     * only the config it is handed, so machines built in the same
+     * process can never observe each other's configuration. Malformed numeric values are collected
      * and reported in a single warning, then defaulted (a bad
      * ISRF_FAULTS spec is still a user error and fatal()s, as
      * before).

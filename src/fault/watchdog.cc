@@ -33,8 +33,7 @@ Watchdog::tick(Cycle now)
     if (triggered_ || interval_ == 0)
         return;
     // Lazy arming: the first ticked cycle counts as one elapsed cycle,
-    // so the check lands interval_ ticks after registration (identical
-    // to the old per-tick counter under dense ticking).
+    // so the check lands interval_ ticks after registration.
     if (nextCheck_ == kNoEvent)
         nextCheck_ = now + interval_ - 1;
     if (now < nextCheck_)
@@ -74,18 +73,6 @@ Watchdog::reportJson() const
     w.field("last_progress", lastProgress_);
     w.endObject();
     return w.str();
-}
-
-Cycle
-Watchdog::nextEvent(Cycle now)
-{
-    if (interval_ == 0)
-        return kNoEvent;
-    if (triggered_)
-        return triggeredCycle_ == now ? now + 1 : kNoEvent;
-    if (nextCheck_ == kNoEvent)
-        return now + 1;  // not yet armed; arm on the next dense tick
-    return nextCheck_ > now ? nextCheck_ : now + 1;
 }
 
 void

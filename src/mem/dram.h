@@ -50,7 +50,16 @@ struct DramConfig
 class Dram
 {
   public:
-    explicit Dram(const DramConfig &cfg = {});
+    /**
+     * Empty until init(). The memory system's member DRAM starts this
+     * way, so building a Machine neither zero-fills a default-sized
+     * array nor registers a channel on the process-global tracer,
+     * which would race between parallel sweep workers.
+     */
+    Dram() = default;
+
+    /** Standalone DRAM: init(cfg) on the process-global tracer. */
+    explicit Dram(const DramConfig &cfg);
 
     void init(const DramConfig &cfg, Tracer *tracer = nullptr);
 
@@ -81,14 +90,6 @@ class Dram
     // --- timing ---
     /** Accrue this cycle's bandwidth tokens. */
     void tick();
-
-    /**
-     * Equivalent of n consecutive tick()s with no token consumption in
-     * between (skip-mode bulk credit). Bitwise-identical to dense
-     * ticking: the floating-point accrual is replayed step by step
-     * until the bucket saturates, then further ticks are no-ops.
-     */
-    void skipCycles(uint64_t n);
 
     /**
      * Try to move up to `want` words this cycle.

@@ -1,7 +1,5 @@
 #include "mem/memory_system.h"
 
-#include <algorithm>
-
 #include "sim/trace.h"
 #include "util/log.h"
 
@@ -135,44 +133,6 @@ MemorySystem::tick(Cycle now)
             }
         }
     }
-}
-
-Cycle
-MemorySystem::nextEvent(Cycle now) const
-{
-    // An op just completed: the driver (stream program) may react next
-    // cycle by submitting dependents — stay dense.
-    if (lastCompletion_ == now)
-        return now + 1;
-    // A queued op dispatches as soon as a unit frees; with a free unit
-    // it dispatches next cycle.
-    if (!queue_.empty()) {
-        for (const auto &u : units_)
-            if (!u.busy())
-                return now + 1;
-    }
-    Cycle wake = kNoEvent;
-    for (const auto &u : units_)
-        wake = std::min(wake, u.nextEvent(now));
-    // Busy units also imply a queue-depth histogram sample every cycle,
-    // but that is a bulk-creditable side effect (skipCycles), so it
-    // does not force density here.
-    return wake;
-}
-
-void
-MemorySystem::skipCycles(Cycle from, Cycle to)
-{
-    uint64_t n = to - from;
-    dram_.skipCycles(n);
-    // Every dense tick with in-flight work samples the depth once; the
-    // depth cannot change across quiescent cycles (no dispatch, no
-    // completion), so one weighted sample reproduces n dense samples.
-    size_t depth = inFlight();
-    if (depth > 0)
-        queueDepthHist_->sample(static_cast<double>(depth), n);
-    for (auto &u : units_)
-        u.skipCycles(from, to);
 }
 
 void

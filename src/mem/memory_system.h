@@ -60,21 +60,6 @@ class MemorySystem
 
     void tick(Cycle now);
 
-    /**
-     * Earliest future cycle the memory system can change observable
-     * state, queried after the tick at `now` (skip mode). Forces a
-     * dense next cycle after any op completion so the stream-program
-     * driver can react (issue dependents) exactly as in dense mode.
-     */
-    Cycle nextEvent(Cycle now) const;
-
-    /**
-     * Credit skipped cycles [from, to): DRAM token accrual, the
-     * per-busy-cycle queue-depth histogram samples, and unit trace
-     * clocks — everything a dense tick touches while quiescent.
-     */
-    void skipCycles(Cycle from, Cycle to);
-
     Dram &dram() { return dram_; }
     const Dram &dram() const { return dram_; }
     Cache &cache() { return cache_; }

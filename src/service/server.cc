@@ -349,6 +349,7 @@ SweepService::serveConnection(int fd)
     std::string buf;
     char chunk[1 << 14];
     double idleMs = 0.0;
+    bool discarding = false;
     while (!stopping_.load(std::memory_order_relaxed)) {
         pollfd p{fd, POLLIN, 0};
         int rc = ::poll(&p, 1, kPollMs);
@@ -380,11 +381,16 @@ SweepService::serveConnection(int fd)
             break;
         }
         idleMs = 0.0;
+        if (discarding)
+            continue;
         buf.append(chunk, static_cast<size_t>(n));
         // Admission control for bytes: a peer may not stream an
         // unbounded line into our memory. Past the cap with no
         // newline in sight, answer with a structured error and hang
-        // up — the line could never parse anyway.
+        // up — the line could never parse anyway. The rest of the
+        // peer's bytes are read and dropped until it closes: closing
+        // with unread input resets the connection, which fails the
+        // peer's pending send and can cost it the error line.
         if (buf.size() > kMaxRequestBytes &&
             buf.find('\n') == std::string::npos) {
             {
@@ -395,7 +401,10 @@ SweepService::serveConnection(int fd)
                 "", "request_too_large",
                 strprintf("request line exceeds %zu bytes",
                           kMaxRequestBytes)));
-            break;
+            ::shutdown(fd, SHUT_WR);
+            buf.clear();
+            discarding = true;
+            continue;
         }
         size_t nl;
         bool dead = false;

@@ -260,6 +260,8 @@ Tracer::lastEvents(size_t n) const
 {
     n = std::min(n, count_);
     std::vector<TraceEvent> out;
+    if (n == 0)
+        return out;  // also covers a disabled tracer's empty ring
     out.reserve(n);
     // Oldest of the n requested events sits n slots behind head_.
     size_t start = (head_ + ring_.size() - n) % ring_.size();

@@ -236,8 +236,11 @@ constexpr uint32_t kSnapSampler = snapTag('S', 'A', 'M', 'P');
 constexpr uint32_t kSnapFaults = snapTag('F', 'I', 'N', 'J');
 constexpr uint32_t kSnapProgram = snapTag('P', 'R', 'O', 'G');
 
-/** Bumped whenever any section layout changes. */
-constexpr uint32_t kSnapshotFormatVersion = 1;
+/**
+ * Bumped whenever any section layout changes. Version 2: the MACH
+ * section no longer carries the skip engine's kernel-event cycle.
+ */
+constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /**
  * An in-memory snapshot: header fields plus tagged sections. The

@@ -2,11 +2,11 @@
 """Check bench_sweep's full-matrix results against the committed golden.
 
     python3 tests/golden_check.py --bench build/bench/bench_sweep \
-        --golden tests/data/golden_suite_all.json --engine dense
+        --golden tests/data/golden_suite_all.json
 
-Runs `bench_sweep --suite all --jobs 4 --json` under ISRF_ENGINE=<engine>
-with every other ISRF_* variable removed, and requires the output to be
-byte-identical to the golden. On a mismatch it names the first job and
+Runs `bench_sweep --suite all --jobs 4 --json` with every ISRF_*
+variable removed, and requires the output to be byte-identical to the
+golden. On a mismatch it names the first job and
 field that diverge. Regenerate the golden only with
 scripts/regen_golden.sh "<reason>".
 """
@@ -68,11 +68,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bench", required=True, help="bench_sweep binary")
     ap.add_argument("--golden", required=True)
-    ap.add_argument("--engine", required=True, choices=("dense", "skip"))
     args = ap.parse_args()
 
     env = {k: v for k, v in os.environ.items() if not k.startswith("ISRF_")}
-    env["ISRF_ENGINE"] = args.engine
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "sweep.json")
         proc = subprocess.run(
@@ -82,7 +80,7 @@ def main():
             text=True)
         if not os.path.exists(out):
             print(proc.stdout)
-            print(f"golden[{args.engine}]: bench_sweep wrote no results "
+            print(f"golden: bench_sweep wrote no results "
                   f"(exit {proc.returncode})")
             return 1
         with open(out) as f:
@@ -90,10 +88,10 @@ def main():
     with open(args.golden) as f:
         golden = f.read()
     if got == golden:
-        print(f"golden[{args.engine}]: {args.golden} byte-identical")
+        print(f"golden: {args.golden} byte-identical")
         return 0
-    print(f"golden[{args.engine}]: results drifted from {args.golden}")
-    print(f"golden[{args.engine}]: {describe(golden, got)}")
+    print(f"golden: results drifted from {args.golden}")
+    print(f"golden: {describe(golden, got)}")
     print("If the change is intended, regenerate with "
           "scripts/regen_golden.sh \"<reason>\" and log the reason in "
           "CHANGES.md.")

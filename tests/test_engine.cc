@@ -1,12 +1,15 @@
 /**
  * @file
- * Tests for the tick engine, breakdown arithmetic and trace utilities.
+ * Tests for the tick engine (stepping, clear(), cooperative
+ * cancellation and deadlines), breakdown arithmetic and trace
+ * utilities.
  */
 #include <gtest/gtest.h>
 
 #include "core/breakdown.h"
 #include "sim/engine.h"
 #include "workloads/trace_util.h"
+#include "workloads/workload.h"
 
 namespace isrf {
 namespace {
@@ -81,6 +84,133 @@ TEST(Engine, NullComponentPanics)
 {
     Engine e;
     EXPECT_DEATH(e.add(nullptr), "null component");
+}
+
+TEST(EngineClear, UnregistersComponentsAndRewindsClock)
+{
+    Engine e;
+    CountingComponent a;
+    e.add(&a);
+    e.steps(5);
+    EXPECT_EQ(e.now(), 5u);
+    EXPECT_EQ(a.ticks, 5u);
+    e.clear();
+    EXPECT_EQ(e.now(), 0u);
+    e.steps(3);
+    EXPECT_EQ(a.ticks, 5u) << "cleared components must not be ticked";
+}
+
+// ----------------------------------------------------------------------
+// Cooperative cancellation / deadline
+// ----------------------------------------------------------------------
+
+TEST(EngineCancel, PreCancelledTokenStopsBeforeTheFirstStep)
+{
+    // Cancellation is observed at cycle boundaries only; a token that
+    // is already tripped must stop the run at cycle 0.
+    Engine e;
+    CountingComponent c;
+    e.add(&c);
+    CancelToken token;
+    token.cancel();
+    e.setCancel(&token);
+    RunResult r = e.runUntil([] { return false; }, 1000);
+    EXPECT_EQ(r.status, RunStatus::Cancelled);
+    EXPECT_EQ(r.cycles, 0u);
+    EXPECT_EQ(c.ticks, 0u);
+    EXPECT_EQ(e.now(), 0u);
+}
+
+TEST(EngineCancel, ExpiredDeadlineReportsTimedOut)
+{
+    Engine e;
+    CountingComponent c;
+    e.add(&c);
+    CancelToken token;
+    token.setTimeout(1e-9);  // expires immediately
+    e.setCancel(&token);
+    RunResult r = e.runUntil([] { return false; }, 1000);
+    EXPECT_EQ(r.status, RunStatus::TimedOut);
+    EXPECT_EQ(r.cycles, 0u);
+}
+
+TEST(EngineCancel, CancellationWinsOverDeadline)
+{
+    Engine e;
+    CountingComponent c;
+    e.add(&c);
+    CancelToken token;
+    token.cancel();
+    token.setTimeout(1e-9);
+    e.setCancel(&token);
+    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
+              RunStatus::Cancelled);
+}
+
+TEST(EngineCancel, FinishedRunIsNeverReportedCancelled)
+{
+    // The predicate is checked before the token: a run that is already
+    // done must return Done even under a tripped token.
+    Engine e;
+    CountingComponent c;
+    e.add(&c);
+    CancelToken token;
+    token.cancel();
+    e.setCancel(&token);
+    RunResult r = e.runUntil([] { return true; }, 1000);
+    EXPECT_EQ(r.status, RunStatus::Done);
+}
+
+TEST(EngineCancel, UntrippedTokenDoesNotPerturbResults)
+{
+    // A workload run under a generous (never-expiring) deadline must
+    // be byte-identical to one run with no token at all — the
+    // resilience layer is invisible to healthy runs.
+    WorkloadOptions plain;
+    plain.repeats = 1;
+    MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
+    WorkloadResult bare = runWorkload("Sort", cfg, plain);
+
+    CancelToken token;
+    token.setTimeout(3600.0);
+    WorkloadOptions guarded = plain;
+    guarded.cancel = &token;
+    WorkloadResult watched = runWorkload("Sort", cfg, guarded);
+
+    EXPECT_TRUE(watched.correct);
+    EXPECT_EQ(resultJson(bare), resultJson(watched));
+}
+
+TEST(EngineCancel, ChainedTokenPropagatesParentCancel)
+{
+    CancelToken parent, child;
+    child.chainTo(&parent);
+    EXPECT_FALSE(child.cancelRequested());
+    parent.cancel();
+    EXPECT_TRUE(child.cancelRequested());
+
+    Engine e;
+    CountingComponent c;
+    e.add(&c);
+    e.setCancel(&child);
+    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
+              RunStatus::Cancelled);
+}
+
+TEST(EngineCancel, DetachingTheTokenRestoresPlainRuns)
+{
+    Engine e;
+    CountingComponent c;
+    e.add(&c);
+    CancelToken token;
+    token.cancel();
+    e.setCancel(&token);
+    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
+              RunStatus::Cancelled);
+    e.setCancel(nullptr);
+    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
+              RunStatus::Limit);
+    EXPECT_EQ(c.ticks, 10u);
 }
 
 TEST(Breakdown, TotalsAndAccumulate)

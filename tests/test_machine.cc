@@ -2,11 +2,17 @@
  * @file
  * Machine-level tests: configuration factories, kernel launch/finish
  * lifecycle, functional output correctness, execution-time breakdown
- * accounting and Figure 13 bandwidth records.
+ * accounting, Figure 13 bandwidth records, re-initialization, and a
+ * seeded MachineConfig fuzz.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+
 #include "core/config.h"
+#include "core/report.h"
+#include "core/stream_program.h"
 #include "test_helpers.h"
 
 namespace isrf {
@@ -223,6 +229,207 @@ TEST(Machine, IndexedLookupKernelEndToEnd)
         EXPECT_EQ(outData[e], (indices[e] * 3) ^ lane) << "element " << e;
     }
     EXPECT_GT(m.srf().idxInLaneWords(), 0u);
+}
+
+/**
+ * Load `data` from DRAM address 0 into an SRF stream and copy it
+ * through the copy kernel. @return the program's cycle count; `out`,
+ * when given, receives the output stream.
+ */
+uint64_t
+runCopyProgram(Machine &m, const std::vector<Word> &data,
+               std::vector<Word> *out = nullptr)
+{
+    m.mem().dram().fill(0, data);
+    StreamProgram prog(m);
+    SlotId in = prog.addStream("in", data.size());
+    SlotId dst = prog.addStream("out", data.size());
+    prog.load(in, 0, m.config().mem.cacheEnabled);
+    static KernelGraph g = test::makeCopyKernel();
+    prog.kernel(test::makeCopyInvocation(m, &g, in, dst, data));
+    uint64_t cycles = prog.run();
+    if (out)
+        *out = prog.dumpStream(dst);
+    return cycles;
+}
+
+std::vector<Word>
+rampData(size_t n)
+{
+    std::vector<Word> data(n);
+    for (size_t i = 0; i < n; i++)
+        data[i] = static_cast<Word>(i * 3 + 1);
+    return data;
+}
+
+TEST(MachineReinit, SecondInitMatchesFreshMachine)
+{
+    // watchdogInterval/statSampleInterval both register Ticked
+    // components owned by unique_ptrs that init() re-creates; before
+    // Engine::clear() existed, the second init() left the engine
+    // ticking dangling pointers (caught by ASan) and kept the old
+    // clock running.
+    MachineConfig cfg = MachineConfig::isrf4();
+    cfg.faults.watchdogInterval = 512;
+    cfg.statSampleInterval = 256;
+    cfg.dram.capacityWords = 1 << 16;
+
+    Machine fresh;
+    fresh.init(cfg);
+    uint64_t freshCycles = runCopyProgram(fresh, rampData(256));
+    std::string freshReport = machineReportJson(fresh);
+
+    Machine m;
+    m.init(cfg);
+    runCopyProgram(m, std::vector<Word>(512, 7));
+    EXPECT_GT(m.now(), 0u);
+
+    // Re-init the dirty machine and run the reference program: every
+    // stat, the clock, and the report must match a fresh machine.
+    m.init(cfg);
+    EXPECT_EQ(m.now(), 0u);
+    EXPECT_EQ(runCopyProgram(m, rampData(256)), freshCycles);
+    EXPECT_EQ(machineReportJson(m), freshReport);
+}
+
+// ----------------------------------------------------------------------
+// Seeded MachineConfig fuzz
+// ----------------------------------------------------------------------
+
+template <typename T>
+T
+pick(Rng &rng, std::initializer_list<T> values)
+{
+    return values.begin()[rng.below(values.size())];
+}
+
+/**
+ * Overwrite every fuzzed field with a value validate() accepts. Fields
+ * are drawn in order so the ones bounded by others (stream buffer and
+ * staging sizes, cache capacity) see their final bounds.
+ */
+void
+drawValidPoint(MachineConfig &c, Rng &rng)
+{
+    c.srf.lanes = pick(rng, {1u, 2u, 4u, 8u, 16u, 32u});
+    c.srf.subArrays = pick(rng, {1u, 2u, 4u, 8u});
+    c.srf.seqWidth = pick(rng, {1u, 2u, 4u, 8u});
+    c.srf.laneWords = pick(rng, {256u, 1024u, 4096u});
+    // The copy program opens two streams.
+    c.srf.maxStreamSlots = pick(rng, {2u, 3u, 8u, 24u, 63u});
+    c.srf.addrFifoSize = pick(rng, {1u, 2u, 8u, 16u});
+    c.srf.streamBufWords = c.srf.seqWidth * pick(rng, {1u, 2u, 4u});
+    c.srf.remoteQueueDepth = pick(rng, {1u, 4u, 8u});
+    c.mem.units = pick(rng, {1u, 2u, 4u});
+    c.mem.stagingWords = c.srf.seqAccessWords() * pick(rng, {1u, 2u, 4u});
+    c.dram.accessLatency = pick(rng, {1u, 40u, 200u});
+    c.dram.wordsPerCycle = pick(rng, {0.5, 2.285, 8.0});
+    c.cache.lineWords = pick(rng, {1u, 2u, 4u, 8u});
+    c.cache.ways = pick(rng, {1u, 2u, 3u, 4u});
+    c.cache.banks = pick(rng, {1u, 2u, 3u, 4u});
+    c.cache.capacityWords = c.cache.lineWords * c.cache.ways *
+        pick(rng, {16u, 256u, 1024u});
+}
+
+/** One way to break a valid point, and the violation validate() names. */
+struct Breakage
+{
+    std::function<void(MachineConfig &)> apply;
+    const char *violation;  ///< regex matched against the fatal message
+};
+
+const std::vector<Breakage> &
+breakages()
+{
+    static const char *kNonzero =
+        "lanes, seqWidth and subArrays must all be nonzero";
+    static const char *kCacheGeom =
+        "cache lineWords, ways and banks must all be nonzero";
+    static const char *kCacheCap =
+        "cache capacityWords must be a nonzero multiple";
+    static const std::vector<Breakage> all = {
+        {[](MachineConfig &c) { c.srf.lanes = 0; }, kNonzero},
+        {[](MachineConfig &c) { c.srf.lanes = 6; },
+         "lanes must be a power of two"},
+        {[](MachineConfig &c) { c.srf.subArrays = 0; }, kNonzero},
+        {[](MachineConfig &c) { c.srf.subArrays = 3; },
+         "subArrays must be a power of two"},
+        {[](MachineConfig &c) { c.srf.seqWidth = 0; }, kNonzero},
+        {[](MachineConfig &c) { c.srf.seqWidth = 3; },
+         "laneWords must be a multiple of seqWidth"},
+        {[](MachineConfig &c) { c.srf.seqWidth = 16; },
+         "seqWidth > 8 unsupported"},
+        {[](MachineConfig &c) { c.srf.laneWords = 0; },
+         "laneWords must be nonzero"},
+        {[](MachineConfig &c) { c.srf.maxStreamSlots = 0; },
+         "maxStreamSlots must be nonzero"},
+        {[](MachineConfig &c) { c.srf.maxStreamSlots = 64; },
+         "maxStreamSlots must leave the global arbiter"},
+        {[](MachineConfig &c) { c.srf.addrFifoSize = 0; },
+         "addrFifoSize must be nonzero"},
+        {[](MachineConfig &c) { c.srf.remoteQueueDepth = 0; },
+         "remoteQueueDepth must be nonzero"},
+        {[](MachineConfig &c) {
+             c.srf.streamBufWords = c.srf.seqWidth - 1;
+         },
+         "streamBufWords must hold one sequential access"},
+        {[](MachineConfig &c) { c.mem.units = 0; },
+         "mem.units must be nonzero"},
+        {[](MachineConfig &c) {
+             c.mem.stagingWords = c.srf.seqAccessWords() - 1;
+         },
+         "mem.stagingWords must hold one SRF block"},
+        {[](MachineConfig &c) { c.dram.accessLatency = 0; },
+         "DRAM accessLatency must be nonzero"},
+        {[](MachineConfig &c) { c.dram.wordsPerCycle = 0.0; },
+         "DRAM bandwidth \\(wordsPerCycle\\) must be positive"},
+        {[](MachineConfig &c) { c.dram.wordsPerCycle = std::nan(""); },
+         "DRAM bandwidth \\(wordsPerCycle\\) must be positive"},
+        {[](MachineConfig &c) { c.cache.lineWords = 0; }, kCacheGeom},
+        {[](MachineConfig &c) { c.cache.ways = 0; }, kCacheGeom},
+        {[](MachineConfig &c) { c.cache.banks = 0; }, kCacheGeom},
+        {[](MachineConfig &c) { c.cache.capacityWords = 0; }, kCacheCap},
+        {[](MachineConfig &c) {
+             c.cache.lineWords = 2;
+             c.cache.capacityWords = 1025;  // odd: not a whole line
+         },
+         kCacheCap},
+    };
+    return all;
+}
+
+TEST(MachineConfigFuzzDeathTest, PerturbedPresetsFailValidationOrRunCopy)
+{
+    // Every other point breaks one field (each breakage at least
+    // once) and must die in validate() naming it; every valid point
+    // must run the copy kernel to a correct result. A crash or hang
+    // anywhere is a missing validate() rule or a model bug.
+    const std::vector<Breakage> &broken = breakages();
+    const size_t points = 4 * broken.size();
+    Rng rng(0x15EEDull);
+    for (size_t i = 0; i < points; i++) {
+        MachineKind kind = static_cast<MachineKind>(i / 2 % 4);
+        MachineConfig cfg = MachineConfig::make(kind);
+        cfg.dram.capacityWords = 1 << 16;
+        drawValidPoint(cfg, rng);
+        SCOPED_TRACE(testing::Message()
+                     << "point " << i << " on " << machineKindName(kind)
+                     << ": lanes=" << cfg.srf.lanes << " seqWidth="
+                     << cfg.srf.seqWidth << " subArrays="
+                     << cfg.srf.subArrays);
+        if (i % 2 == 1) {
+            const Breakage &b = broken[(i / 2) % broken.size()];
+            b.apply(cfg);
+            EXPECT_DEATH(cfg.validate(), b.violation);
+            continue;
+        }
+        Machine m;
+        m.init(cfg);
+        std::vector<Word> data = rampData(8 * cfg.srf.seqAccessWords());
+        std::vector<Word> out;
+        EXPECT_GT(runCopyProgram(m, data, &out), 0u);
+        EXPECT_EQ(out, data);
+    }
 }
 
 } // namespace

@@ -5,8 +5,8 @@
  *
  * The profiler's cardinal rule is zero observable effect: a profiled
  * run's resultJson() and machineReportJson() (minus its own "profile"
- * section) must be byte-identical to an unprofiled run's, under both
- * engine modes. The perf_diff tests pin the CI gate's threshold
+ * section) must be byte-identical to an unprofiled run's. The
+ * perf_diff tests pin the CI gate's threshold
  * semantics: regression vs improvement direction handling, the
  * absolute noise floor, and missing-metric classification.
  */
@@ -280,10 +280,9 @@ TEST(ProfilerExport, ReportAndChromeTraceAreValidJson)
 // ----------------------------------------------------------------------
 
 WorkloadResult
-runProfiled(EngineMode mode, bool profiled)
+runProfiled(bool profiled)
 {
     MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
-    cfg.engineMode = mode;
     cfg.profileEnabled = profiled;
     cfg.profileStride = 8;
     WorkloadOptions opts;
@@ -293,17 +292,10 @@ runProfiled(EngineMode mode, bool profiled)
 
 TEST(ProfilerInvariance, ResultJsonByteIdenticalDense)
 {
-    std::string off = resultJson(runProfiled(EngineMode::Dense, false));
-    std::string on = resultJson(runProfiled(EngineMode::Dense, true));
+    std::string off = resultJson(runProfiled(false));
+    std::string on = resultJson(runProfiled(true));
     EXPECT_EQ(off, on)
         << "profiling must not perturb simulation results";
-}
-
-TEST(ProfilerInvariance, ResultJsonByteIdenticalSkip)
-{
-    std::string off = resultJson(runProfiled(EngineMode::Skip, false));
-    std::string on = resultJson(runProfiled(EngineMode::Skip, true));
-    EXPECT_EQ(off, on);
 }
 
 TEST(ProfilerInvariance, MachineReportGainsProfileOnlyWhenEnabled)
@@ -329,14 +321,14 @@ TEST(ProfilerInvariance, HarvestMergesIntoGlobalAggregate)
 {
     uint64_t before =
         Profiler::instance().phase(Profiler::Run).calls;
-    runProfiled(EngineMode::Dense, true);
+    runProfiled(true);
     uint64_t after = Profiler::instance().phase(Profiler::Run).calls;
     EXPECT_GT(after, before)
         << "profiled machines must fold into Profiler::instance()";
 
     // Unprofiled machines must NOT touch the global aggregate.
     before = after;
-    runProfiled(EngineMode::Dense, false);
+    runProfiled(false);
     after = Profiler::instance().phase(Profiler::Run).calls;
     EXPECT_EQ(after, before);
 }

@@ -338,10 +338,9 @@ TEST(StreamProgram, DuplicatedDependencyEdgeNeitherDeadlocksNorReleasesEarly)
 
 /** Independent loads plus a dependent kernel chain. */
 uint64_t
-runLoadsAndKernelChain(MachineKind kind, EngineMode mode)
+runLoadsAndKernelChain(MachineKind kind)
 {
     MachineConfig cfg = smallConfig(kind);
-    cfg.engineMode = mode;
     Machine m;
     m.init(cfg);
     constexpr size_t kWords = 512;
@@ -374,15 +373,12 @@ runLoadsAndKernelChain(MachineKind kind, EngineMode mode)
     return cycles;
 }
 
-TEST(StreamProgram, LoadsPlusKernelChainSameCyclesDenseAndSkip)
+TEST(StreamProgram, LoadsPlusKernelChainRunsCorrectly)
 {
     for (MachineKind kind : {MachineKind::Base, MachineKind::ISRF4,
                              MachineKind::Cache}) {
         SCOPED_TRACE(machineKindName(kind));
-        uint64_t dense = runLoadsAndKernelChain(kind, EngineMode::Dense);
-        uint64_t skip = runLoadsAndKernelChain(kind, EngineMode::Skip);
-        EXPECT_GT(dense, 0u);
-        EXPECT_EQ(dense, skip);
+        EXPECT_GT(runLoadsAndKernelChain(kind), 0u);
     }
 }
 

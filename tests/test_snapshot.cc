@@ -12,8 +12,8 @@
  *  - the keystone golden-equivalence property: run to cycle C,
  *    snapshot, load into a fresh Machine, run to completion — the
  *    workload report is byte-identical to an uninterrupted run,
- *    across all four machine kinds, representative workloads
- *    (including SpMV and stencil) and both engine modes;
+ *    across all four machine kinds and representative workloads
+ *    (including SpMV and stencil);
  *  - the SweepRunner checkpoint lifecycle: resume-from-checkpoint
  *    executes strictly fewer cycles, files are removed once a job's
  *    outcome is journal-replayable.
@@ -27,6 +27,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -326,12 +327,10 @@ TEST(SnapshotFuzz, BitFlipAtEveryByteOffsetIsDetected)
  */
 void
 expectResumeEquivalent(const std::string &workload, MachineKind kind,
-                       EngineMode mode, const char *tag)
+                       const char *tag)
 {
-    SCOPED_TRACE(workload + " / " + machineKindName(kind) + " / " +
-                 engineModeName(mode));
+    SCOPED_TRACE(workload + " / " + machineKindName(kind));
     MachineConfig cfg = MachineConfig::make(kind);
-    cfg.engineMode = mode;
     WorkloadOptions opts;
     opts.repeats = 2;
 
@@ -378,61 +377,54 @@ expectResumeEquivalent(const std::string &workload, MachineKind kind,
 
 TEST(CheckpointResume, GoldenEquivalenceBase)
 {
-    expectResumeEquivalent("Histogram", MachineKind::Base,
-                           EngineMode::Dense, "gbase");
+    expectResumeEquivalent("Histogram", MachineKind::Base, "gbase");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceIsrf1)
 {
-    expectResumeEquivalent("Histogram", MachineKind::ISRF1,
-                           EngineMode::Dense, "gisrf1");
+    expectResumeEquivalent("Histogram", MachineKind::ISRF1, "gisrf1");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceIsrf4)
 {
-    expectResumeEquivalent("Histogram", MachineKind::ISRF4,
-                           EngineMode::Dense, "gisrf4");
+    expectResumeEquivalent("Histogram", MachineKind::ISRF4, "gisrf4");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceCache)
 {
-    expectResumeEquivalent("Histogram", MachineKind::Cache,
-                           EngineMode::Dense, "gcache");
+    expectResumeEquivalent("Histogram", MachineKind::Cache, "gcache");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceSpmv)
 {
-    expectResumeEquivalent("SpMV Random", MachineKind::ISRF4,
-                           EngineMode::Dense, "gspmv");
-    expectResumeEquivalent("SpMV Banded", MachineKind::Base,
-                           EngineMode::Dense, "gspmvb");
+    expectResumeEquivalent("SpMV Random", MachineKind::ISRF4, "gspmv");
+    expectResumeEquivalent("SpMV Banded", MachineKind::Base, "gspmvb");
+    expectResumeEquivalent("SpMV Power", MachineKind::Cache, "gspmvp");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceStencil)
 {
-    expectResumeEquivalent("Stencil 2D5", MachineKind::Cache,
-                           EngineMode::Dense, "gsten");
+    expectResumeEquivalent("Stencil 2D5", MachineKind::Cache, "gsten");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceFft)
 {
-    expectResumeEquivalent("FFT 2D", MachineKind::ISRF4,
-                           EngineMode::Dense, "gfft");
-}
-
-TEST(CheckpointResume, GoldenEquivalenceSkipEngine)
-{
-    expectResumeEquivalent("Histogram", MachineKind::ISRF4,
-                           EngineMode::Skip, "gskip");
-    expectResumeEquivalent("SpMV Power", MachineKind::Cache,
-                           EngineMode::Skip, "gskip2");
+    expectResumeEquivalent("FFT 2D", MachineKind::ISRF4, "gfft");
 }
 
 // ----------------------------------------------------------------------
 // Fallback behavior through the full run path
 // ----------------------------------------------------------------------
 
-TEST(CheckpointResume, CorruptCheckpointQuarantinedAndRestartsClean)
+/**
+ * Save a mid-run checkpoint, let `damage` rewrite the file, then run
+ * the job again: the loader must refuse the file, quarantine it, and
+ * restart from zero to the byte-identical correct report.
+ */
+void
+expectDamagedCheckpointRestartsClean(
+    const std::function<void(const std::string &path)> &damage,
+    const char *tag)
 {
     const std::string workload = "Histogram";
     MachineConfig cfg = MachineConfig::make(MachineKind::ISRF1);
@@ -442,7 +434,7 @@ TEST(CheckpointResume, CorruptCheckpointQuarantinedAndRestartsClean)
     ASSERT_EQ(base.status, RunStatus::Done);
     const std::string baseJson = resultJson(base);
 
-    TempCkptDir dir("corrupt");
+    TempCkptDir dir(tag);
     const std::string path = dir.file("job.ckpt");
     const uint64_t fp = 0x77ull;
     const uint64_t cadence = std::max<uint64_t>(1, base.cycles / 3);
@@ -454,16 +446,12 @@ TEST(CheckpointResume, CorruptCheckpointQuarantinedAndRestartsClean)
     runWorkload(workload, cfg, o1);
     ASSERT_EQ(c1.saves(), 1u);
 
-    // Flip one byte in the middle of the file.
-    std::string bytes = readBytes(path);
-    ASSERT_GT(bytes.size(), 64u);
-    bytes[bytes.size() / 2] =
-        static_cast<char>(static_cast<uint8_t>(
-            bytes[bytes.size() / 2]) ^ 0x40);
-    writeBytes(path, bytes);
+    damage(path);
+    Snapshot refused;
+    std::string err;
+    EXPECT_EQ(loadSnapshotFile(path, fp, refused, err),
+              SnapshotLoad::Corrupt);
 
-    // The resume must detect it, quarantine, restart from zero, and
-    // still produce the byte-identical correct report.
     CheckpointContext c2(path, fp, 0);  // cadence 0: no periodic saves
     WorkloadOptions o2 = opts;
     o2.checkpoint = &c2;
@@ -476,6 +464,38 @@ TEST(CheckpointResume, CorruptCheckpointQuarantinedAndRestartsClean)
     EXPECT_TRUE(res.correct);
     EXPECT_EQ(resultJson(res), baseJson);
     std::remove((path + ".bad").c_str());
+}
+
+TEST(CheckpointResume, CorruptCheckpointQuarantinedAndRestartsClean)
+{
+    // Flip one byte in the middle of the file.
+    expectDamagedCheckpointRestartsClean([](const std::string &path) {
+        std::string bytes = readBytes(path);
+        ASSERT_GT(bytes.size(), 64u);
+        bytes[bytes.size() / 2] =
+            static_cast<char>(static_cast<uint8_t>(
+                bytes[bytes.size() / 2]) ^ 0x40);
+        writeBytes(path, bytes);
+    }, "corrupt");
+}
+
+TEST(CheckpointResume, OlderFormatVersionRefusedAndRestartsClean)
+{
+    // A well-formed, correctly checksummed checkpoint in format
+    // version 1, whose MACH section still carries a field version 2
+    // dropped: restoring it would misread every later field.
+    expectDamagedCheckpointRestartsClean([](const std::string &path) {
+        Snapshot snap;
+        std::string err;
+        ASSERT_TRUE(snap.parse(readBytes(path), err)) << err;
+        snap.version = 1;
+        writeBytes(path, snap.serialize());
+        Snapshot again;
+        EXPECT_FALSE(again.parse(readBytes(path), err));
+        EXPECT_NE(err.find("unsupported snapshot format version 1"),
+                  std::string::npos)
+            << err;
+    }, "oldver");
 }
 
 TEST(CheckpointResume, TruncatedCheckpointQuarantinedAtManyOffsets)

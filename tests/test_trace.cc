@@ -199,8 +199,10 @@ TEST_F(TraceTest, MergeFromRemapsChannelsAndNames)
     m.enableChannels("all");
     uint16_t mch = m.channel("trace_test_merge_src");
     {
+        // Event names must outlive the tracer that records them, so a
+        // runtime-built name goes through the source's intern pool.
         std::string dynamicName = "dyn_ev";
-        m.instant(mch, dynamicName.c_str(), 5, 42);
+        m.instant(mch, m.intern(dynamicName), 5, 42);
     }
     g.mergeFrom(m);
 
