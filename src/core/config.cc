@@ -118,6 +118,8 @@ MachineConfig::validate() const
         errs.push_back("addrFifoSize must be nonzero");
     if (srf.remoteQueueDepth == 0)
         errs.push_back("remoteQueueDepth must be nonzero");
+    if (srf.netPortsPerBank == 0)
+        errs.push_back("netPortsPerBank must be nonzero");
     if (srf.streamBufWords < srf.seqWidth)
         errs.push_back("streamBufWords must hold one sequential access "
                        "(at least seqWidth words)");
@@ -127,6 +129,14 @@ MachineConfig::validate() const
         errs.push_back("DRAM accessLatency must be nonzero");
     if (dram.capacityWords == 0)
         errs.push_back("DRAM capacityWords must be nonzero");
+    if (!(commOccupancy >= 0 && commOccupancy < 1))  // NaN included
+        errs.push_back("commOccupancy must be in [0, 1)");
+    if (inLaneSeparation > kMaxSeparation)
+        errs.push_back("inLaneSeparation must be at most " +
+                       std::to_string(kMaxSeparation) + " cycles");
+    if (crossLaneSeparation > kMaxSeparation)
+        errs.push_back("crossLaneSeparation must be at most " +
+                       std::to_string(kMaxSeparation) + " cycles");
     if (kind == MachineKind::Cache && !mem.cacheEnabled)
         errs.push_back("Cache machine without cache enabled");
     if (kind != MachineKind::Cache && mem.cacheEnabled)

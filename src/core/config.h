@@ -52,13 +52,22 @@ struct MachineConfig
     uint32_t inLaneSeparation = 6;
     uint32_t crossLaneSeparation = 20;
 
+    /**
+     * validate()'s cap on both separations. Fig. 14 sweeps up to 24
+     * cycles; run time grows linearly with the separation, and near
+     * 2^32 the modulo scheduler's 32-bit latencies wrap into wrong
+     * cycle counts.
+     */
+    static constexpr uint32_t kMaxSeparation = 1024;
+
     /** Kernel dispatch overhead in cycles (microcode + descriptors). */
     uint32_t kernelStartOverhead = 64;
 
     /**
      * Fraction of cycles each cluster's network injection port is held
      * by statically scheduled communication unrelated to cross-lane SRF
-     * access (the Figure 18 x-axis knob).
+     * access (the Figure 18 x-axis knob). In [0, 1): at 1 no lane
+     * ever injects.
      */
     double commOccupancy = 0.0;
 

@@ -18,7 +18,9 @@ Dram::init(const DramConfig &cfg, Tracer *tracer)
     if (cfg.wordsPerCycle <= 0)
         fatal("Dram: non-positive bandwidth");
     cfg_ = cfg;
-    mem_.assign(cfg.capacityWords, 0);
+    // A fresh array, never clear()+resize(): that would keep the old
+    // pages and their words.
+    mem_ = decltype(mem_)(cfg.capacityWords);
     ecc_.clear();
     openRow_.assign(cfg.banks, -1);
     tokens_ = 0;
@@ -75,7 +77,8 @@ Dram::write(uint64_t wordAddr, Word w)
 void
 Dram::fill(uint64_t wordAddr, const std::vector<Word> &data)
 {
-    if (wordAddr + data.size() > mem_.size())
+    if (data.size() > mem_.size() ||
+        wordAddr > mem_.size() - data.size())
         panic("Dram::fill: range out of bounds");
     ecc_.onWriteRange(wordAddr, data.size());
     std::copy(data.begin(), data.end(), mem_.begin() + wordAddr);
@@ -84,7 +87,7 @@ Dram::fill(uint64_t wordAddr, const std::vector<Word> &data)
 std::vector<Word>
 Dram::dump(uint64_t wordAddr, uint64_t n) const
 {
-    if (wordAddr + n > mem_.size())
+    if (n > mem_.size() || wordAddr > mem_.size() - n)
         panic("Dram::dump: range out of bounds");
     if (!ecc_.empty()) {
         // Route through the decoder so validation sees corrected data.
@@ -236,6 +239,9 @@ Dram::loadState(SnapshotReader &r)
         r.markFailed();
         return false;
     }
+    // Start from fresh zero pages and write only the non-zero runs, so
+    // a restored job stays as small as the one that was saved.
+    mem_ = decltype(mem_)(nwords);
     uint64_t at = 0;
     for (uint64_t run = 0; run < nruns; run++) {
         uint64_t count = 0;
@@ -246,9 +252,10 @@ Dram::loadState(SnapshotReader &r)
             r.markFailed();
             return false;
         }
-        std::fill(mem_.begin() + static_cast<ptrdiff_t>(at),
-                  mem_.begin() + static_cast<ptrdiff_t>(at + count),
-                  value);
+        if (value != 0)
+            std::fill(mem_.begin() + static_cast<ptrdiff_t>(at),
+                      mem_.begin() + static_cast<ptrdiff_t>(at + count),
+                      value);
         at += count;
     }
     if (at != mem_.size()) {

@@ -14,6 +14,9 @@
 #define ISRF_MEM_DRAM_H
 
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "fault/ecc.h"
@@ -46,13 +49,67 @@ struct DramConfig
     double rowMissCost = 2.5;  ///< first word of a newly opened row
 };
 
-/** Functional + timing DRAM. */
+/**
+ * calloc/free allocator for the DRAM word array. Its value-less
+ * construct() default-initialises, so `std::vector<T,
+ * ZeroPageAllocator<T>>(n)` writes nothing and the elements read 0
+ * because calloc returned zeroed memory. For a large n, glibc's calloc
+ * is a fresh anonymous mmap whose pages the kernel zero-fills on first
+ * touch.
+ *
+ * Only a freshly constructed vector is guaranteed zero: resize() into
+ * capacity left over from a clear() default-initialises recycled,
+ * already-written elements.
+ */
+template <typename T>
+struct ZeroPageAllocator
+{
+    static_assert(std::is_trivially_default_constructible_v<T>,
+                  "default-initialising T must leave calloc's zeros");
+    using value_type = T;
+
+    T *
+    allocate(size_t n)
+    {
+        void *p = std::calloc(n, sizeof(T));
+        if (!p && n != 0)
+            throw std::bad_alloc();
+        return static_cast<T *>(p);
+    }
+
+    void deallocate(T *p, size_t) noexcept { std::free(p); }
+
+    /** Default-initialise: writes nothing, so calloc's zeros stay. */
+    template <typename U>
+    void
+    construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    friend bool
+    operator==(const ZeroPageAllocator &, const ZeroPageAllocator &)
+    {
+        return true;
+    }
+};
+
+/**
+ * Functional + timing DRAM.
+ *
+ * The word array is lazily backed: init() allocates it through
+ * ZeroPageAllocator, so no word is written until the machine writes
+ * it. Untouched words read 0, and resident memory grows with the
+ * pages a job touches rather than with capacityWords (the Table 3
+ * machine's 64 MB). Every init() and loadState() starts from a freshly
+ * allocated array, never a recycled one.
+ */
 class Dram
 {
   public:
     /**
      * Empty until init(). The memory system's member DRAM starts this
-     * way, so building a Machine neither zero-fills a default-sized
+     * way, so building a Machine neither allocates a default-sized
      * array nor registers a channel on the process-global tracer,
      * which would race between parallel sweep workers.
      */
@@ -147,7 +204,7 @@ class Dram
   private:
     DramConfig cfg_;
     /** mutable: read() scrubs corrected words back in place. */
-    mutable std::vector<Word> mem_;
+    mutable std::vector<Word, ZeroPageAllocator<Word>> mem_;
     mutable EccDomain ecc_;
     std::vector<int64_t> openRow_;
     double tokens_ = 0;

@@ -7,13 +7,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <fstream>
 #include <functional>
 
 #include "core/config.h"
 #include "core/report.h"
 #include "core/stream_program.h"
 #include "test_helpers.h"
+#include "util/snapshot.h"
 
 namespace isrf {
 namespace {
@@ -293,6 +297,74 @@ TEST(MachineReinit, SecondInitMatchesFreshMachine)
 }
 
 // ----------------------------------------------------------------------
+// Lazily backed DRAM
+// ----------------------------------------------------------------------
+
+/** This process's resident set in bytes (/proc/self/statm). */
+uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    uint64_t size = 0, resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/** Resident-set growth since `before` (0 if it shrank). */
+uint64_t
+residentGrowthSince(uint64_t before)
+{
+    uint64_t now = residentBytes();
+    return now > before ? now - before : 0;
+}
+
+/** A quarter of the Table 3 DRAM: eager zero-filling would cross it. */
+constexpr uint64_t kResidentBound = 16ull << 20;
+
+TEST(LazyDram, DefaultMachineInitGrowsResidentSetLittle)
+{
+    MachineConfig cfg = MachineConfig::isrf4();
+    ASSERT_EQ(cfg.dram.capacityWords, 16ull << 20);
+    uint64_t before = residentBytes();
+    Machine m;
+    m.init(cfg);
+    m.mem().dram().write(cfg.dram.capacityWords - 1, 42);
+    EXPECT_LT(residentGrowthSince(before), kResidentBound);
+    EXPECT_EQ(m.mem().dram().read(cfg.dram.capacityWords - 1), 42u);
+    EXPECT_EQ(m.mem().dram().read(cfg.dram.capacityWords / 2), 0u);
+}
+
+TEST(LazyDram, RestoredSnapshotGrowsResidentSetLittle)
+{
+    // Each phase is measured while its machines are alive: freeing a
+    // 64 MB array writes its whole shadow under ASan.
+    MachineConfig cfg = MachineConfig::isrf4();
+    Snapshot snap;
+    {
+        uint64_t before = residentBytes();
+        Machine m;
+        m.init(cfg);
+        std::vector<Word> data = rampData(4096);
+        std::vector<Word> out;
+        runCopyProgram(m, data, &out);
+        ASSERT_EQ(out, data);
+        m.mem().dram().write(cfg.dram.capacityWords - 1, 42);
+        m.saveSnapshot(snap);
+        EXPECT_LT(residentGrowthSince(before), kResidentBound);
+    }
+    uint64_t before = residentBytes();
+    Machine fresh;
+    fresh.init(cfg);
+    std::string err;
+    ASSERT_TRUE(fresh.loadSnapshot(snap, nullptr, &err)) << err;
+    EXPECT_LT(residentGrowthSince(before), kResidentBound);
+    const Dram &d = fresh.mem().dram();
+    EXPECT_EQ(d.dump(0, 4096), rampData(4096));
+    EXPECT_EQ(d.read(cfg.dram.capacityWords - 1), 42u);
+    EXPECT_EQ(d.read(cfg.dram.capacityWords / 2), 0u);
+}
+
+// ----------------------------------------------------------------------
 // Seeded MachineConfig fuzz
 // ----------------------------------------------------------------------
 
@@ -320,6 +392,10 @@ drawValidPoint(MachineConfig &c, Rng &rng)
     c.srf.addrFifoSize = pick(rng, {1u, 2u, 8u, 16u});
     c.srf.streamBufWords = c.srf.seqWidth * pick(rng, {1u, 2u, 4u});
     c.srf.remoteQueueDepth = pick(rng, {1u, 4u, 8u});
+    c.srf.netPortsPerBank = pick(rng, {1u, 2u, 8u});
+    c.commOccupancy = pick(rng, {0.0, 0.3, 0.8});
+    c.inLaneSeparation = pick(rng, {0u, 6u, 10u, 1024u});
+    c.crossLaneSeparation = pick(rng, {0u, 20u, 24u, 1024u});
     c.mem.units = pick(rng, {1u, 2u, 4u});
     c.mem.stagingWords = c.srf.seqAccessWords() * pick(rng, {1u, 2u, 4u});
     c.dram.accessLatency = pick(rng, {1u, 40u, 200u});
@@ -347,6 +423,7 @@ breakages()
         "cache lineWords, ways and banks must all be nonzero";
     static const char *kCacheCap =
         "cache capacityWords must be a nonzero multiple";
+    static const char *kComm = "commOccupancy must be in \\[0, 1\\)";
     static const std::vector<Breakage> all = {
         {[](MachineConfig &c) { c.srf.lanes = 0; }, kNonzero},
         {[](MachineConfig &c) { c.srf.lanes = 6; },
@@ -385,6 +462,15 @@ breakages()
          "DRAM bandwidth \\(wordsPerCycle\\) must be positive"},
         {[](MachineConfig &c) { c.dram.wordsPerCycle = std::nan(""); },
          "DRAM bandwidth \\(wordsPerCycle\\) must be positive"},
+        {[](MachineConfig &c) { c.srf.netPortsPerBank = 0; },
+         "netPortsPerBank must be nonzero"},
+        {[](MachineConfig &c) { c.commOccupancy = 1.0; }, kComm},
+        {[](MachineConfig &c) { c.commOccupancy = -0.25; }, kComm},
+        {[](MachineConfig &c) { c.commOccupancy = std::nan(""); }, kComm},
+        {[](MachineConfig &c) { c.inLaneSeparation = 1025; },
+         "inLaneSeparation must be at most 1024 cycles"},
+        {[](MachineConfig &c) { c.crossLaneSeparation = UINT32_MAX; },
+         "crossLaneSeparation must be at most 1024 cycles"},
         {[](MachineConfig &c) { c.cache.lineWords = 0; }, kCacheGeom},
         {[](MachineConfig &c) { c.cache.ways = 0; }, kCacheGeom},
         {[](MachineConfig &c) { c.cache.banks = 0; }, kCacheGeom},
@@ -410,7 +496,6 @@ TEST(MachineConfigFuzzDeathTest, PerturbedPresetsFailValidationOrRunCopy)
     for (size_t i = 0; i < points; i++) {
         MachineKind kind = static_cast<MachineKind>(i / 2 % 4);
         MachineConfig cfg = MachineConfig::make(kind);
-        cfg.dram.capacityWords = 1 << 16;
         drawValidPoint(cfg, rng);
         SCOPED_TRACE(testing::Message()
                      << "point " << i << " on " << machineKindName(kind)

@@ -41,6 +41,43 @@ TEST(Dram, FunctionalRoundtrip)
     d.fill(10, {1, 2, 3});
     EXPECT_EQ(d.dump(10, 3), (std::vector<Word>{1, 2, 3}));
     EXPECT_DEATH(d.read(2000), "out of range");
+    // Ranges whose end wraps past 2^64 must not pass the bounds check.
+    EXPECT_DEATH(d.fill(UINT64_MAX, {1}), "out of bounds");
+    EXPECT_DEATH(d.fill(1000, std::vector<Word>(100)), "out of bounds");
+    EXPECT_DEATH(d.dump(UINT64_MAX, 2), "out of bounds");
+    EXPECT_DEATH(d.dump(2, UINT64_MAX), "out of bounds");
+    EXPECT_EQ(d.dump(1020, 4).size(), 4u);
+    EXPECT_TRUE(d.dump(1024, 0).empty());
+}
+
+TEST(Dram, UntouchedWordsReadZero)
+{
+    Dram d(DramConfig{});  // the Table 3 machine's 16M words
+    const uint64_t last = d.capacityWords() - 1;
+    d.write(12345, 7);
+    for (uint64_t a : {uint64_t{0}, uint64_t{12344}, uint64_t{12346},
+                       d.capacityWords() / 2, last})
+        EXPECT_EQ(d.read(a), 0u) << "address " << a;
+    EXPECT_EQ(d.dump(last - 1023, 1024), std::vector<Word>(1024, 0));
+}
+
+TEST(Dram, ReinitReturnsZeroedWords)
+{
+    // A re-init must hand back fresh zero pages, never the old ones,
+    // for small arrays and for large ones.
+    for (uint64_t words : {uint64_t{1024}, uint64_t{1} << 22}) {
+        SCOPED_TRACE(words);
+        DramConfig cfg;
+        cfg.capacityWords = words;
+        Dram d(cfg);
+        d.write(0, 0xdead);
+        d.write(words - 1, 0xbeef);
+        d.fill(words / 2, std::vector<Word>(256, 0x5a5a));
+        d.init(cfg);
+        EXPECT_EQ(d.read(0), 0u);
+        EXPECT_EQ(d.read(words - 1), 0u);
+        EXPECT_EQ(d.dump(words / 2, 256), std::vector<Word>(256, 0));
+    }
 }
 
 TEST(Dram, BandwidthTokenBucket)
