@@ -78,6 +78,8 @@ class Machine : public Ticked
     Engine &engine() { return engine_; }
     Cycle now() const { return engine_.now(); }
     uint32_t lanes() const { return cfg_.srf.lanes; }
+    /** One lane's compute cluster (read-only view). */
+    const Cluster &cluster(uint32_t lane) const { return clusters_[lane]; }
 
     /**
      * This machine's private event tracer. Every component of this

@@ -2,9 +2,12 @@
  * @file
  * Tests for the compute-cluster model: invocation metadata, iteration
  * pacing against the schedule, spill-over of wide per-iteration stream
- * work, indexed-data stalls, load imbalance, and cycle categorization.
+ * work, indexed-data stalls, load imbalance, cycle categorization, and
+ * snapshot save/restore of a lane with staged trace ranges.
  */
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "test_helpers.h"
 
@@ -274,6 +277,229 @@ TEST(Cluster, DoneRequiresPipelineDrain)
     m.launchKernel(inv);
     m.runUntil([&]() { return !m.kernelActive(); }, 100000);
     SUCCEED();
+}
+
+// ----------------------------------------------------------------------
+// Spilled indexed work: more accesses per iteration than FIFO entries
+// ----------------------------------------------------------------------
+
+constexpr uint32_t kSpillTableWords = 64;
+constexpr uint32_t kSpillIters = 32;
+constexpr uint32_t kSpillWritesPerIter = 4;
+
+/** ISRF4 with one-entry address FIFOs. */
+MachineConfig
+spillConfig()
+{
+    MachineConfig cfg = smallConfig(MachineKind::ISRF4);
+    cfg.srf.addrFifoSize = 1;
+    return cfg;
+}
+
+/** t[i + j] = lut[i] + j for j < 4: one indexed read, four writes. */
+KernelGraph
+spillKernel()
+{
+    KernelBuilder b("spill");
+    auto lut = b.idxlIn("lut");
+    auto t = b.idxlOut("t");
+    auto v = b.readIdx(lut, b.iterIdx());
+    for (uint32_t j = 0; j < kSpillWritesPerIter; j++)
+        b.writeIdx(t, b.iadd(b.iterIdx(), b.constInt(j)),
+                   b.iadd(v, b.constInt(j)));
+    return b.build();
+}
+
+/** Open the kernel's two per-lane tables: {lut, t}. */
+std::pair<SlotId, SlotId>
+openSpillSlots(Machine &m)
+{
+    SlotConfig lc;
+    lc.layout = StreamLayout::PerLane;
+    lc.lengthWords = kSpillTableWords;
+    lc.indexed = true;
+    SlotId lut = m.srf().openSlot(lc);
+    SlotConfig tc = lc;
+    tc.base = kSpillTableWords;
+    SlotId t = m.srf().openSlot(tc);
+    return {lut, t};
+}
+
+/**
+ * Every lane writes each record of t twice, with different data, so
+ * the final table shows whether the writes landed in trace order.
+ */
+std::shared_ptr<KernelInvocation>
+spillInvocation(Machine &m, const KernelGraph &g, SlotId lut, SlotId t)
+{
+    auto inv = std::make_shared<KernelInvocation>();
+    inv->graph = &g;
+    inv->sched = m.scheduleKernel(g);
+    inv->slots = {lut, t};
+    inv->laneTraces.assign(m.lanes(), LaneTrace());
+    for (uint32_t l = 0; l < m.lanes(); l++) {
+        LaneTrace &tr = inv->laneTraces[l];
+        tr.iterations = kSpillIters;
+        tr.idxReads.resize(2);
+        tr.idxWrites.resize(2);
+        for (uint32_t i = 0; i < kSpillIters; i++) {
+            tr.idxReads[0].push_back(i % kSpillTableWords);
+            for (uint32_t j = 0; j < kSpillWritesPerIter; j++) {
+                uint32_t n = i * kSpillWritesPerIter + j;
+                IdxWriteTraceEntry e;
+                e.recordIndex = n % kSpillTableWords;
+                e.data[0] = (l << 16) | (n + 1);
+                tr.idxWrites[1].push_back(e);
+            }
+        }
+    }
+    inv->finalize();
+    return inv;
+}
+
+/** Lane `l`'s table t after applying its writes in trace order. */
+std::vector<Word>
+expectedSpillTable(const KernelInvocation &inv, uint32_t l)
+{
+    std::vector<Word> table(kSpillTableWords, 0);
+    for (const IdxWriteTraceEntry &e : inv.laneTraces[l].idxWrites[1])
+        table[e.recordIndex] = e.data[0];
+    return table;
+}
+
+/** Every lane's table t as stored in the SRF. */
+std::vector<std::vector<Word>>
+storedSpillTables(Machine &m)
+{
+    std::vector<std::vector<Word>> tables(m.lanes());
+    for (uint32_t l = 0; l < m.lanes(); l++)
+        for (uint32_t r = 0; r < kSpillTableWords; r++)
+            tables[l].push_back(m.srf().readWord(l, kSpillTableWords + r));
+    return tables;
+}
+
+/**
+ * Step `m` (running spillKernel()) past a third of `cycles` and then
+ * until lane 0 holds staged trace entries; false if it never does.
+ */
+bool
+stepToStagedWork(Machine &m, uint64_t cycles)
+{
+    m.step(cycles / 3);
+    while (m.kernelActive()) {
+        if (test::laneSnapshot(m, 0).stagedEntries() > 0)
+            return true;
+        m.step();
+    }
+    return false;
+}
+
+TEST(Cluster, SpilledIndexedWritesLandInTraceOrder)
+{
+    Machine m;
+    m.init(spillConfig());
+    auto [lut, t] = openSpillSlots(m);
+    KernelGraph g = spillKernel();
+    auto inv = spillInvocation(m, g, lut, t);
+    ASSERT_GT(inv->idxWritesPerIter[1], m.config().srf.addrFifoSize);
+    m.launchKernel(inv);
+    m.runUntil([&]() { return !m.kernelActive(); }, 100000);
+    ASSERT_FALSE(m.kernelActive());
+    std::vector<std::vector<Word>> stored = storedSpillTables(m);
+    for (uint32_t l = 0; l < m.lanes(); l++)
+        EXPECT_EQ(stored[l], expectedSpillTable(*inv, l)) << "lane " << l;
+}
+
+TEST(Cluster, RestoredSpillingLaneContinuesLikeUninterrupted)
+{
+    const MachineConfig cfg = spillConfig();
+    KernelGraph g = spillKernel();
+
+    // Uninterrupted: lane 0's category for every cycle of the kernel.
+    Machine a;
+    a.init(cfg);
+    auto [lut, t] = openSpillSlots(a);
+    const Cycle start = a.now();
+    a.launchKernel(spillInvocation(a, g, lut, t));
+    std::vector<CycleCat> cats;
+    while (a.kernelActive()) {
+        a.step();
+        cats.push_back(a.cluster(0).lastCat());
+        ASSERT_LT(cats.size(), 100000u);
+    }
+
+    // Interrupted while lane 0 holds staged entries.
+    Machine b;
+    b.init(cfg);
+    openSpillSlots(b);
+    b.launchKernel(spillInvocation(b, g, lut, t));
+    ASSERT_TRUE(stepToStagedWork(b, cats.size()));
+    const Cycle saved = b.now();
+    Snapshot snap;
+    b.saveSnapshot(snap);
+
+    Machine c;
+    c.init(cfg);
+    std::string err;
+    ASSERT_TRUE(c.loadSnapshot(snap, spillInvocation(c, g, lut, t), &err))
+        << err;
+    ASSERT_EQ(c.now(), saved);
+    SnapshotWriter before, after;
+    test::laneSnapshot(b, 0).write(before);
+    test::laneSnapshot(c, 0).write(after);
+    EXPECT_EQ(after.data(), before.data());
+
+    std::vector<CycleCat> resumed;
+    while (c.kernelActive()) {
+        c.step();
+        resumed.push_back(c.cluster(0).lastCat());
+        ASSERT_LT(resumed.size(), cats.size());
+    }
+    EXPECT_EQ(resumed, std::vector<CycleCat>(
+                           cats.begin() + (saved - start), cats.end()));
+    EXPECT_EQ(storedSpillTables(c), storedSpillTables(a));
+}
+
+TEST(Cluster, LoadStateRejectsStagedWorkThatIsNotTheTrace)
+{
+    Machine m;
+    m.init(spillConfig());
+    auto [lut, t] = openSpillSlots(m);
+    KernelGraph g = spillKernel();
+    auto inv = spillInvocation(m, g, lut, t);
+    m.launchKernel(inv);
+    ASSERT_TRUE(stepToStagedWork(m, 0));
+    const test::LaneSnapshot good = test::laneSnapshot(m, 0);
+    ASSERT_FALSE(good.stagedIdxWrites[1].empty());
+
+    auto loads = [&](const test::LaneSnapshot &ls) {
+        SnapshotWriter w;
+        ls.write(w);
+        SnapshotReader r(w.data());
+        Cluster c;
+        c.init(0, &m.srf(), nullptr);
+        c.restoreBind(inv.get());
+        return c.loadState(r) && r.atEnd();
+    };
+    EXPECT_TRUE(loads(good));
+
+    test::LaneSnapshot word = good;
+    word.stagedIdxWrites[1].back()[1] ^= 1;  // data[0] of the last entry
+    EXPECT_FALSE(loads(word));
+
+    test::LaneSnapshot count = good;
+    count.idxWriteCur[1] = count.stagedIdxWrites[1].size() - 1;
+    EXPECT_FALSE(loads(count));
+
+    // The cursor may sit at the trace's end, not past it.
+    const size_t traceLen = inv->laneTraces[0].idxWrites[1].size();
+    test::LaneSnapshot atEnd = good;
+    atEnd.stagedIdxWrites[1].clear();
+    atEnd.idxWriteCur[1] = traceLen;
+    EXPECT_TRUE(loads(atEnd));
+    test::LaneSnapshot pastEnd = atEnd;
+    pastEnd.idxWriteCur[1] = traceLen + 1;
+    EXPECT_FALSE(loads(pastEnd));
 }
 
 } // namespace

@@ -257,6 +257,50 @@ runCopyProgram(Machine &m, const std::vector<Word> &data,
     return cycles;
 }
 
+/**
+ * Load `idx` from DRAM address 0 and run the in-lane lookup kernel
+ * over it, every lane holding `table`: out[e] = table[idx[e]].
+ * @return the program's cycle count; `out` receives the output stream.
+ */
+uint64_t
+runLookupProgram(Machine &m, const std::vector<Word> &idx,
+                 const std::vector<Word> &table, std::vector<Word> *out)
+{
+    m.mem().dram().fill(0, idx);
+    StreamProgram prog(m);
+    SlotId in = prog.addStream("idx", idx.size());
+    SlotId lut = prog.addStream("lut", table.size(), StreamLayout::PerLane,
+                                StreamDir::In, true);
+    SlotId dst = prog.addStream("out", idx.size());
+    std::vector<Word> tables;
+    for (uint32_t l = 0; l < m.lanes(); l++)
+        tables.insert(tables.end(), table.begin(), table.end());
+    prog.fillStream(lut, tables);
+    prog.load(in, 0, m.config().mem.cacheEnabled);
+    static KernelGraph g = test::makeLookupKernel();
+    auto inv = std::make_shared<KernelInvocation>();
+    inv->graph = &g;
+    inv->sched = m.scheduleKernel(g);
+    inv->slots = {in, lut, dst};
+    inv->laneTraces.assign(m.lanes(), LaneTrace());
+    const SrfGeometry &geom = m.config().srf;
+    for (auto &t : inv->laneTraces) {
+        t.seqWrites.resize(3);
+        t.idxReads.resize(3);
+    }
+    for (size_t e = 0; e < idx.size(); e++) {
+        auto &t = inv->laneTraces[(e / geom.seqWidth) % geom.lanes];
+        t.iterations++;
+        t.idxReads[1].push_back(idx[e]);
+        t.seqWrites[2].push_back(table[idx[e]]);
+    }
+    inv->finalize();
+    prog.kernel(inv);
+    uint64_t cycles = prog.run();
+    *out = prog.dumpStream(dst);
+    return cycles;
+}
+
 std::vector<Word>
 rampData(size_t n)
 {
@@ -387,8 +431,10 @@ drawValidPoint(MachineConfig &c, Rng &rng)
     c.srf.subArrays = pick(rng, {1u, 2u, 4u, 8u});
     c.srf.seqWidth = pick(rng, {1u, 2u, 4u, 8u});
     c.srf.laneWords = pick(rng, {256u, 1024u, 4096u});
-    // The copy program opens two streams.
-    c.srf.maxStreamSlots = pick(rng, {2u, 3u, 8u, 24u, 63u});
+    // The copy program opens two streams, the lookup program three.
+    c.srf.maxStreamSlots = c.srfMode == SrfMode::SequentialOnly
+        ? pick(rng, {2u, 3u, 8u, 24u, 63u})
+        : pick(rng, {3u, 8u, 24u, 63u});
     c.srf.addrFifoSize = pick(rng, {1u, 2u, 8u, 16u});
     c.srf.streamBufWords = c.srf.seqWidth * pick(rng, {1u, 2u, 4u});
     c.srf.remoteQueueDepth = pick(rng, {1u, 4u, 8u});
@@ -488,8 +534,10 @@ TEST(MachineConfigFuzzDeathTest, PerturbedPresetsFailValidationOrRunCopy)
 {
     // Every other point breaks one field (each breakage at least
     // once) and must die in validate() naming it; every valid point
-    // must run the copy kernel to a correct result. A crash or hang
-    // anywhere is a missing validate() rule or a model bug.
+    // must run the copy kernel to a correct result, and on an indexed
+    // SRF also the in-lane lookup kernel. One-entry address FIFOs and
+    // one-access stream buffers make lanes stage spilled work. A crash
+    // or hang anywhere is a missing validate() rule or a model bug.
     const std::vector<Breakage> &broken = breakages();
     const size_t points = 4 * broken.size();
     Rng rng(0x15EEDull);
@@ -514,6 +562,19 @@ TEST(MachineConfigFuzzDeathTest, PerturbedPresetsFailValidationOrRunCopy)
         std::vector<Word> out;
         EXPECT_GT(runCopyProgram(m, data, &out), 0u);
         EXPECT_EQ(out, data);
+        if (cfg.srfMode == SrfMode::SequentialOnly)
+            continue;
+        std::vector<Word> table = rampData(32);
+        std::vector<Word> idx(data.size());
+        for (Word &x : idx)
+            x = static_cast<Word>(rng.below(table.size()));
+        std::vector<Word> want;
+        for (Word x : idx)
+            want.push_back(table[x]);
+        m.init(cfg);  // the copy program's streams stay allocated
+        EXPECT_GT(runLookupProgram(m, idx, table, &out), 0u);
+        EXPECT_EQ(out, want);
+        EXPECT_EQ(m.srf().idxInLaneWords(), idx.size());
     }
 }
 

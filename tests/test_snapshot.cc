@@ -34,6 +34,7 @@
 
 #include "core/machine.h"
 #include "driver/sweep_runner.h"
+#include "test_helpers.h"
 #include "util/snapshot.h"
 #include "workloads/workload.h"
 
@@ -319,18 +320,20 @@ TEST(SnapshotFuzz, BitFlipAtEveryByteOffsetIsDetected)
 // ----------------------------------------------------------------------
 
 /**
- * Run `workload` on `kind` uninterrupted; again with a checkpoint
+ * Run `workload` on `cfg` uninterrupted; again with a checkpoint
  * context that stops right after its first mid-run save; then resume
  * from that checkpoint in a fresh Machine and require the final
  * report to be byte-identical to the uninterrupted run's, with the
- * resumed process having executed strictly fewer cycles.
+ * resumed process having executed strictly fewer cycles. `inspect`,
+ * when given, sees the checkpoint before the resume.
  */
 void
-expectResumeEquivalent(const std::string &workload, MachineKind kind,
-                       const char *tag)
+expectResumeEquivalent(const std::string &workload,
+                       const MachineConfig &cfg, const char *tag,
+                       const std::function<void(const Snapshot &)>
+                           &inspect = {})
 {
-    SCOPED_TRACE(workload + " / " + machineKindName(kind));
-    MachineConfig cfg = MachineConfig::make(kind);
+    SCOPED_TRACE(workload + " / " + machineKindName(cfg.kind));
     WorkloadOptions opts;
     opts.repeats = 2;
 
@@ -357,6 +360,13 @@ expectResumeEquivalent(const std::string &workload, MachineKind kind,
     ASSERT_EQ(part.status, RunStatus::Cancelled);
     ASSERT_LT(part.cycles, base.cycles);
     ASSERT_TRUE(fileExists(path));
+    if (inspect) {
+        Snapshot snap;
+        std::string err;
+        ASSERT_EQ(loadSnapshotFile(path, fp, snap, err), SnapshotLoad::Ok)
+            << err;
+        inspect(snap);
+    }
 
     // Resume in a fresh Machine (the workload rebuilds it), run to
     // completion: the report must be byte-identical.
@@ -373,6 +383,13 @@ expectResumeEquivalent(const std::string &workload, MachineKind kind,
     // cycles than the whole run (the CI resilience invariant).
     EXPECT_GT(c2.executedCycles(), 0u);
     EXPECT_LT(c2.executedCycles(), base.cycles);
+}
+
+void
+expectResumeEquivalent(const std::string &workload, MachineKind kind,
+                       const char *tag)
+{
+    expectResumeEquivalent(workload, MachineConfig::make(kind), tag);
 }
 
 TEST(CheckpointResume, GoldenEquivalenceBase)
@@ -410,6 +427,32 @@ TEST(CheckpointResume, GoldenEquivalenceStencil)
 TEST(CheckpointResume, GoldenEquivalenceFft)
 {
     expectResumeEquivalent("FFT 2D", MachineKind::ISRF4, "gfft");
+}
+
+TEST(CheckpointResume, GoldenEquivalenceWithStagedClusterWork)
+{
+    // One-entry address FIFOs and one-access stream buffers make every
+    // Histogram iteration stage more work than the SRF takes at once,
+    // so the checkpoint lands while lanes hold staged trace ranges.
+    MachineConfig cfg = MachineConfig::isrf1();
+    cfg.srf.addrFifoSize = 1;
+    cfg.srf.streamBufWords = cfg.srf.seqWidth;
+    expectResumeEquivalent(
+        "Histogram", cfg, "gstaged", [](const Snapshot &snap) {
+            const std::string *clus = snap.findSection(kSnapClusters);
+            ASSERT_NE(clus, nullptr);
+            SnapshotReader r(*clus);
+            uint64_t lanes = 0;
+            ASSERT_TRUE(r.u64(lanes));
+            size_t staged = 0;
+            for (uint64_t l = 0; l < lanes; l++) {
+                test::LaneSnapshot ls;
+                ASSERT_TRUE(ls.parse(r)) << "lane " << l;
+                staged += ls.stagedEntries();
+            }
+            EXPECT_TRUE(r.atEnd());
+            EXPECT_GT(staged, 0u);
+        });
 }
 
 // ----------------------------------------------------------------------
