@@ -25,7 +25,6 @@
  * --with-hang flag injects a synthetic never-terminating job (used by
  * CI to prove a hung job cannot block the sweep).
  */
-#include <cinttypes>
 #include <csignal>
 #include <cstdlib>
 
@@ -75,13 +74,6 @@ writeTimingJson(const std::string &path, const SweepRunner &runner,
         .value(static_cast<uint64_t>(t.tornBytesDropped));
     w.key("journal_lines_skipped")
         .value(static_cast<uint64_t>(t.journalLinesSkipped));
-    // Checkpoint accounting (all zero without --checkpoint-dir). CI's
-    // resilience job asserts a resumed sweep's sim_cycles_executed is
-    // strictly below the uninterrupted baseline's — proof the resume
-    // actually skipped work instead of silently re-simulating.
-    w.key("checkpoint_saves").value(t.checkpointSaves);
-    w.key("checkpoint_restores").value(t.checkpointRestores);
-    w.key("sim_cycles_executed").value(t.simCyclesExecuted);
     w.key("jobs").beginArray();
     for (const auto &o : outcomes) {
         w.beginObject();
@@ -175,8 +167,6 @@ main(int argc, char **argv)
     std::string timingPath;
     std::string benchJsonPath;
     std::string suite = "paper";
-    std::string checkpointDir;
-    uint64_t checkpointEvery = 0;
     bool withHang = false;
     BenchArgs args = parseBenchArgs(argc, argv, {
         {"--timing-json", true,
@@ -192,24 +182,9 @@ main(int argc, char **argv)
              }
              suite = v;
          }},
-        {"--checkpoint-dir", true,
-         [&](const std::string &v) { checkpointDir = v; }},
-        {"--checkpoint-every-cycles", true,
-         [&](const std::string &v) {
-             char *end = nullptr;
-             checkpointEvery = std::strtoull(v.c_str(), &end, 10);
-             if (end == v.c_str() || *end != '\0') {
-                 std::fprintf(stderr, "--checkpoint-every-cycles "
-                              "expects a cycle count, got '%s'\n",
-                              v.c_str());
-                 std::exit(2);
-             }
-         }},
         {"--with-hang", false,
          [&](const std::string &) { withHang = true; }},
     });
-    if (!checkpointDir.empty() && checkpointEvery == 0)
-        checkpointEvery = 250000;  // sensible default cadence
 
     // --suite paper is the default so the perf job's 32-job contract
     // (8 paper benchmarks x 4 machines) holds without flags; sparse
@@ -247,8 +222,6 @@ main(int argc, char **argv)
     policy.journalPath = args.journalPath;
     policy.resume = args.resume;
     policy.cancel = &gSignalCancel;
-    policy.checkpointDir = checkpointDir;
-    policy.checkpointEveryCycles = checkpointEvery;
     std::signal(SIGINT, onTerminationSignal);
     std::signal(SIGTERM, onTerminationSignal);
 
@@ -304,11 +277,6 @@ main(int argc, char **argv)
     } else {
         std::printf("replayed jobs:      %zu\n", timing.replayed);
     }
-    if (!checkpointDir.empty())
-        std::printf("checkpoints:        %" PRIu64 " saved, %" PRIu64
-                    " restored; %" PRIu64 " sim cycles executed\n",
-                    timing.checkpointSaves, timing.checkpointRestores,
-                    timing.simCyclesExecuted);
     std::printf("aggregate speedup:  %.2fx\n", timing.speedup());
     std::printf("all done+correct:   %s\n", allGood ? "yes" : "NO");
     if (gSignalSeen) {

@@ -114,19 +114,6 @@ Cluster::stagedRange(size_t s) const
         idxWriteDone_[s] < idxWriteCur_[s];
 }
 
-void
-Cluster::rebuildMasks()
-{
-    pendingMask_ = 0;
-    needMask_ = 0;
-    for (size_t s = 0; s < dataNeeds_.size(); s++) {
-        if (pendingIn_[s] > 0 || stagedRange(s))
-            pendingMask_ |= uint64_t{1} << s;
-        if (!dataNeeds_[s].empty())
-            needMask_ |= uint64_t{1} << s;
-    }
-}
-
 bool
 Cluster::done(Cycle now) const
 {
@@ -249,188 +236,6 @@ Cluster::issueIteration(Cycle now)
     lastIssue_ = now;
     nextIssue_ = now + inv_->sched.ii;
     drainPending(now);
-}
-
-namespace {
-
-/**
- * Write trace entries [done, cur) as a count and the entries, the
- * layout of the staging queues this range replaces (snapshot format
- * version 2). Only a bound lane can hold staged entries.
- */
-template <typename Entry, typename WriteFn>
-void
-saveStaged(SnapshotWriter &w, const std::vector<Entry> *trace, size_t done,
-           size_t cur, WriteFn write)
-{
-    w.u64(cur - done);
-    if (done == cur)
-        return;
-    if (!trace)
-        panic("Cluster: staged trace entries on an unbound lane");
-    for (size_t i = done; i < cur; i++)
-        write((*trace)[i]);
-}
-
-/**
- * Read a staged range written by saveStaged() and set `done` from it.
- * The entries must be the trace's own at [cur - n, cur), and the cursor
- * must lie within the trace; an unbound lane (trace == nullptr) must
- * hold none.
- */
-template <typename Entry, typename ReadFn>
-bool
-loadStaged(SnapshotReader &r, const std::vector<Entry> *trace, size_t cur,
-           size_t &done, size_t entryBytes, ReadFn read)
-{
-    uint64_t n = 0;
-    if (!r.len(n, entryBytes))
-        return false;
-    if (n > cur || (n > 0 && !trace) || (trace && cur > trace->size())) {
-        r.markFailed();
-        return false;
-    }
-    done = cur - static_cast<size_t>(n);
-    for (size_t i = 0; i < n; i++) {
-        Entry e{};
-        if (!read(e))
-            return false;
-        if (e != (*trace)[done + i]) {
-            r.markFailed();
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
-
-void
-Cluster::saveState(SnapshotWriter &w) const
-{
-    w.b(inv_ != nullptr);
-    w.u64(bindCycle_);
-    w.u64(itersIssued_);
-    w.u64(nextIssue_);
-    w.u64(lastIssue_);
-    w.u32(pendingCommSends_);
-    w.u64(dataNeeds_.size());
-    for (const auto &q : dataNeeds_) {
-        w.u64(q.size());
-        for (Cycle c : q)
-            w.u64(c);
-    }
-    for (size_t v : seqWriteCur_)
-        w.u64(v);
-    for (size_t v : idxReadCur_)
-        w.u64(v);
-    for (size_t v : idxWriteCur_)
-        w.u64(v);
-    const LaneTrace *tr = inv_ ? &inv_->laneTraces[lane_] : nullptr;
-    for (size_t s = 0; s < seqWriteCur_.size(); s++)
-        saveStaged(w, tr ? &tr->seqWrites[s] : nullptr, seqWriteDone_[s],
-                   seqWriteCur_[s], [&](Word x) { w.u32(x); });
-    for (uint32_t v : pendingIn_)
-        w.u32(v);
-    for (size_t s = 0; s < idxReadCur_.size(); s++)
-        saveStaged(w, tr ? &tr->idxReads[s] : nullptr, idxReadDone_[s],
-                   idxReadCur_[s], [&](uint32_t x) { w.u32(x); });
-    for (size_t s = 0; s < idxWriteCur_.size(); s++)
-        saveStaged(w, tr ? &tr->idxWrites[s] : nullptr, idxWriteDone_[s],
-                   idxWriteCur_[s], [&](const IdxWriteTraceEntry &e) {
-                       w.u32(e.recordIndex);
-                       for (Word d : e.data)
-                           w.u32(d);
-                   });
-    w.u64(cycles_.loopBody);
-    w.u64(cycles_.overhead);
-    w.u64(cycles_.srfStall);
-    w.u64(cycles_.idle);
-    w.u8(static_cast<uint8_t>(lastCat_));
-    w.b(doneReported_);
-}
-
-bool
-Cluster::loadState(SnapshotReader &r)
-{
-    bool bound = false;
-    if (!r.b(bound))
-        return false;
-    // The machine restoreBind()s us to the rebuilt invocation (or to
-    // nullptr) before handing over the reader; a mismatch means the
-    // program state and machine state disagree — reject, don't guess.
-    if (bound != (inv_ != nullptr)) {
-        r.markFailed();
-        return false;
-    }
-    uint64_t nslots = 0;
-    if (!r.u64(bindCycle_) || !r.u64(itersIssued_) ||
-        !r.u64(nextIssue_) || !r.u64(lastIssue_) ||
-        !r.u32(pendingCommSends_) || !r.len(nslots, 1))
-        return false;
-    if (nslots > kMaxSlots || (inv_ && nslots != inv_->slots.size())) {
-        r.markFailed();
-        return false;
-    }
-    dataNeeds_.assign(nslots, {});
-    for (auto &q : dataNeeds_) {
-        uint64_t nq = 0;
-        if (!r.len(nq, 8))
-            return false;
-        for (uint64_t i = 0; i < nq; i++) {
-            Cycle c = 0;
-            if (!r.u64(c))
-                return false;
-            q.push_back(c);
-        }
-    }
-    for (auto *cur : {&seqWriteCur_, &idxReadCur_, &idxWriteCur_}) {
-        cur->assign(nslots, 0);
-        for (size_t &v : *cur) {
-            uint64_t x = 0;
-            if (!r.u64(x))
-                return false;
-            v = static_cast<size_t>(x);
-        }
-    }
-    seqWriteDone_.assign(nslots, 0);
-    idxReadDone_.assign(nslots, 0);
-    idxWriteDone_.assign(nslots, 0);
-    const LaneTrace *tr = inv_ ? &inv_->laneTraces[lane_] : nullptr;
-    for (size_t s = 0; s < nslots; s++)
-        if (!loadStaged(r, tr ? &tr->seqWrites[s] : nullptr,
-                        seqWriteCur_[s], seqWriteDone_[s], 4,
-                        [&](Word &x) { return r.u32(x); }))
-            return false;
-    pendingIn_.assign(nslots, 0);
-    for (uint32_t &v : pendingIn_)
-        if (!r.u32(v))
-            return false;
-    for (size_t s = 0; s < nslots; s++)
-        if (!loadStaged(r, tr ? &tr->idxReads[s] : nullptr,
-                        idxReadCur_[s], idxReadDone_[s], 4,
-                        [&](uint32_t &x) { return r.u32(x); }))
-            return false;
-    for (size_t s = 0; s < nslots; s++)
-        if (!loadStaged(r, tr ? &tr->idxWrites[s] : nullptr,
-                        idxWriteCur_[s], idxWriteDone_[s], 20,
-                        [&](IdxWriteTraceEntry &e) {
-                            if (!r.u32(e.recordIndex))
-                                return false;
-                            for (Word &d : e.data)
-                                if (!r.u32(d))
-                                    return false;
-                            return true;
-                        }))
-            return false;
-    uint8_t cat = 0;
-    if (!r.u64(cycles_.loopBody) || !r.u64(cycles_.overhead) ||
-        !r.u64(cycles_.srfStall) || !r.u64(cycles_.idle) ||
-        !r.u8(cat) || !r.b(doneReported_))
-        return false;
-    lastCat_ = static_cast<CycleCat>(cat);
-    rebuildMasks();
-    return true;
 }
 
 void

@@ -38,8 +38,6 @@ struct IdxWriteTraceEntry
 {
     uint32_t recordIndex;
     Word data[4] = {0, 0, 0, 0};
-
-    bool operator==(const IdxWriteTraceEntry &) const = default;
 };
 
 /** Per-lane functional traces for one kernel invocation. */
@@ -150,27 +148,6 @@ class Cluster
     /** How this lane spent the most recent cycle. */
     CycleCat lastCat() const { return lastCat_; }
 
-    // ------------------------------------------------------------------
-    // Snapshot (util/snapshot.h, DESIGN.md §17)
-    // ------------------------------------------------------------------
-
-    /**
-     * Point this lane back at a deterministically rebuilt invocation
-     * (or nullptr for an unbound lane) WITHOUT resetting progress —
-     * snapshot restore only; loadState() then refills the cursors and
-     * masks. Normal kernel launches go through bind().
-     */
-    void restoreBind(const KernelInvocation *inv) { inv_ = inv; }
-
-    /** Staged ranges are written as their trace entries. */
-    void saveState(SnapshotWriter &w) const;
-    /**
-     * Fails the reader when a staged entry differs from the trace at
-     * its position, a staged count exceeds its cursor, or a cursor
-     * runs past its trace's end.
-     */
-    bool loadState(SnapshotReader &r);
-
   private:
     void issueIteration(Cycle now);
     /** Drain due indexed data; false if a due record is not ready. */
@@ -213,8 +190,6 @@ class Cluster
     void drainPending(Cycle now);
     /** True if slot s has a staged seq write or indexed range. */
     bool stagedRange(size_t s) const;
-    /** Recompute both masks from the cursors and queues. */
-    void rebuildMasks();
 
     LaneCycles cycles_;
     CycleCat lastCat_ = CycleCat::Idle;

@@ -80,18 +80,6 @@ struct MachineConfig
     /** Unread; see EngineMode. */
     EngineMode engineMode = EngineMode::Dense;
 
-    /**
-     * Cycles between wall-clock deadline checks in Engine::pollCancel.
-     * The default keeps batch sweeps cheap; the sweep service daemon
-     * tightens it (e.g. to 64) so ms-scale per-request deadlines are
-     * observed promptly on slow jobs. Observability-only — it changes
-     * when an expired deadline is noticed, never the results of a run
-     * that completes — so it is excluded from job fingerprints
-     * (SweepRunner::observabilityKnobs()). fromEnv() overlays
-     * ISRF_DEADLINE_CHECK here.
-     */
-    uint64_t deadlineCheckCycles = 1024;
-
     uint64_t seed = 1;
 
     /**
@@ -134,8 +122,8 @@ struct MachineConfig
 
     /**
      * Overlay the ISRF_* environment overrides (ISRF_FAULTS,
-     * ISRF_SAMPLE, ISRF_TRACE, ISRF_TRACE_CAPACITY, ISRF_PROFILE,
-     * ISRF_DEADLINE_CHECK) onto this config and return it. This is
+     * ISRF_SAMPLE, ISRF_TRACE, ISRF_TRACE_CAPACITY, ISRF_PROFILE)
+     * onto this config and return it. This is
      * the ONE place the environment is consulted: Machine::init reads
      * only the config it is handed, so machines built in the same
      * process can never observe each other's configuration. Malformed numeric values are collected

@@ -1,6 +1,5 @@
 #include "core/machine.h"
 
-#include "util/hash.h"
 #include "util/log.h"
 
 namespace isrf {
@@ -15,7 +14,6 @@ Machine::init(const MachineConfig &cfg)
     // pointers to the watchdog/sampler destroyed below (and a stale
     // clock); clear() is the one sanctioned way to rebuild.
     engine_.clear();
-    engine_.setDeadlineCheckCycles(cfg_.deadlineCheckCycles);
     active_.reset();
     activeOutputs_.clear();
     activeIdxWriteSlots_.clear();
@@ -295,292 +293,6 @@ Machine::resetStats()
     kernelBw_.clear();
     mem_.dram().resetStats();
     mem_.cache().resetStats();
-}
-
-uint64_t
-Machine::geometryHash() const
-{
-    const SrfGeometry &g = cfg_.srf;
-    std::string canon = strprintf(
-        "kind=%u srf=%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u "
-        "mode=%u dram=%llu,%u,%u,%u cache=%u,%u,%u,%u mem=%u,%u,%u "
-        "sep=%u,%u ovh=%u comm=%.17g sample=%llu seed=%llu "
-        "faults=%u,%llu,%zu wd=%llu,%u",
-        static_cast<unsigned>(cfg_.kind), g.lanes, g.laneWords,
-        g.seqWidth, g.subArrays, g.streamBufWords, g.addrFifoSize,
-        g.seqLatency, g.inLaneLatency, g.crossLaneLatency,
-        g.netPortsPerBank, g.maxStreamSlots, g.remoteQueueDepth,
-        static_cast<unsigned>(g.netTopology),
-        static_cast<unsigned>(g.arbPolicy),
-        static_cast<unsigned>(cfg_.srfMode),
-        static_cast<unsigned long long>(cfg_.dram.capacityWords),
-        cfg_.dram.banks, cfg_.dram.rowBufferModel ? 1u : 0u,
-        cfg_.dram.rowWords, cfg_.cache.capacityWords,
-        cfg_.cache.lineWords, cfg_.cache.ways, cfg_.cache.banks,
-        cfg_.mem.units, cfg_.mem.stagingWords,
-        cfg_.mem.cacheEnabled ? 1u : 0u, cfg_.inLaneSeparation,
-        cfg_.crossLaneSeparation, cfg_.kernelStartOverhead,
-        cfg_.commOccupancy,
-        static_cast<unsigned long long>(cfg_.statSampleInterval),
-        static_cast<unsigned long long>(cfg_.seed),
-        cfg_.faults.enabled ? 1u : 0u,
-        static_cast<unsigned long long>(cfg_.faults.seed),
-        cfg_.faults.schedule.size(),
-        static_cast<unsigned long long>(cfg_.faults.watchdogInterval),
-        cfg_.faults.watchdogStallIntervals);
-    return fnv1a(canon);
-}
-
-void
-Machine::saveMachineSection(SnapshotWriter &w) const
-{
-    rng_.saveState(w);
-    w.b(active_ != nullptr);
-    w.u64(activeOutputs_.size());
-    for (SlotId id : activeOutputs_)
-        w.u32(static_cast<uint32_t>(id));
-    w.u64(activeIdxWriteSlots_.size());
-    for (SlotId id : activeIdxWriteSlots_)
-        w.u32(static_cast<uint32_t>(id));
-    w.b(flushing_);
-    w.u64(kernelStart_);
-    w.u64(bwSeq0_);
-    w.u64(bwIn0_);
-    w.u64(bwCross0_);
-    w.u64(breakdown_.loopBody);
-    w.u64(breakdown_.memStall);
-    w.u64(breakdown_.srfStall);
-    w.u64(breakdown_.overhead);
-    w.u64(kernelBw_.size());
-    for (const auto &[name, rec] : kernelBw_) {
-        w.str(name);
-        w.u64(rec.laneCycles);
-        w.u64(rec.seqWords);
-        w.u64(rec.inLaneWords);
-        w.u64(rec.crossWords);
-        w.u64(rec.invocations);
-    }
-    w.u8(static_cast<uint8_t>(lastRunStatus_));
-}
-
-bool
-Machine::loadMachineSection(SnapshotReader &r)
-{
-    if (!rng_.loadState(r))
-        return false;
-    bool wasActive = false;
-    if (!r.b(wasActive))
-        return false;
-    // The caller restoreBind()s the rebuilt invocation (or clears it)
-    // before handing over the reader; a disagreement means the program
-    // state and machine state drifted apart.
-    if (wasActive != (active_ != nullptr)) {
-        r.markFailed();
-        return false;
-    }
-    uint64_t n = 0;
-    if (!r.len(n, 4))
-        return false;
-    activeOutputs_.resize(n);
-    for (SlotId &id : activeOutputs_) {
-        uint32_t raw = 0;
-        if (!r.u32(raw))
-            return false;
-        id = static_cast<SlotId>(raw);
-    }
-    if (!r.len(n, 4))
-        return false;
-    activeIdxWriteSlots_.resize(n);
-    for (SlotId &id : activeIdxWriteSlots_) {
-        uint32_t raw = 0;
-        if (!r.u32(raw))
-            return false;
-        id = static_cast<SlotId>(raw);
-    }
-    if (!r.b(flushing_) || !r.u64(kernelStart_) || !r.u64(bwSeq0_) ||
-        !r.u64(bwIn0_) || !r.u64(bwCross0_) ||
-        !r.u64(breakdown_.loopBody) || !r.u64(breakdown_.memStall) ||
-        !r.u64(breakdown_.srfStall) || !r.u64(breakdown_.overhead))
-        return false;
-    uint64_t nbw = 0;
-    if (!r.len(nbw, 48))
-        return false;
-    kernelBw_.clear();
-    for (uint64_t i = 0; i < nbw; i++) {
-        std::string name;
-        KernelBwRecord rec;
-        if (!r.str(name) || !r.u64(rec.laneCycles) ||
-            !r.u64(rec.seqWords) || !r.u64(rec.inLaneWords) ||
-            !r.u64(rec.crossWords) || !r.u64(rec.invocations))
-            return false;
-        kernelBw_[name] = rec;
-    }
-    uint8_t status = 0;
-    if (!r.u8(status))
-        return false;
-    lastRunStatus_ = static_cast<RunStatus>(status);
-    return true;
-}
-
-void
-Machine::saveSnapshot(Snapshot &snap)
-{
-    snap.version = kSnapshotFormatVersion;
-    snap.cycle = engine_.now();
-    snap.geometry = geometryHash();
-    snap.sections.clear();
-
-    SnapshotWriter mach;
-    saveMachineSection(mach);
-    snap.addSection(kSnapMachine, mach);
-
-    SnapshotWriter srf;
-    srf_.saveState(srf);
-    snap.addSection(kSnapSrf, srf);
-
-    SnapshotWriter xbar;
-    dataNet_.saveState(xbar);
-    snap.addSection(kSnapCrossbar, xbar);
-
-    SnapshotWriter clus;
-    clus.u64(clusters_.size());
-    for (const Cluster &c : clusters_)
-        c.saveState(clus);
-    snap.addSection(kSnapClusters, clus);
-
-    SnapshotWriter mem;
-    mem_.saveState(mem);
-    snap.addSection(kSnapMemory, mem);
-
-    if (watchdog_) {
-        SnapshotWriter wdog;
-        watchdog_->saveState(wdog);
-        snap.addSection(kSnapWatchdog, wdog);
-    }
-    if (sampler_) {
-        SnapshotWriter samp;
-        sampler_->saveState(samp);
-        snap.addSection(kSnapSampler, samp);
-    }
-    if (injector_) {
-        SnapshotWriter finj;
-        injector_->saveState(finj);
-        snap.addSection(kSnapFaults, finj);
-    }
-}
-
-namespace {
-
-/** One section restore: present, parsed whole, and consumed whole. */
-template <typename F>
-bool
-loadSection(const Snapshot &snap, uint32_t tag, const char *what,
-            std::string *err, F &&load)
-{
-    const std::string *payload = snap.findSection(tag);
-    if (!payload) {
-        if (err)
-            *err = strprintf("snapshot: missing %s section", what);
-        return false;
-    }
-    SnapshotReader r(*payload);
-    if (!load(r) || !r.atEnd()) {
-        if (err)
-            *err = strprintf("snapshot: malformed %s section", what);
-        return false;
-    }
-    return true;
-}
-
-} // namespace
-
-bool
-Machine::loadSnapshot(const Snapshot &snap,
-                      std::shared_ptr<KernelInvocation> activeInv,
-                      std::string *err)
-{
-    if (snap.geometry != geometryHash()) {
-        if (err)
-            *err = strprintf("snapshot: geometry hash mismatch "
-                             "(%016llx vs %016llx)",
-                             static_cast<unsigned long long>(
-                                 snap.geometry),
-                             static_cast<unsigned long long>(
-                                 geometryHash()));
-        return false;
-    }
-    // Optional sections must mirror the config-driven component set.
-    if ((snap.findSection(kSnapWatchdog) != nullptr) !=
-            (watchdog_ != nullptr) ||
-        (snap.findSection(kSnapSampler) != nullptr) !=
-            (sampler_ != nullptr) ||
-        (snap.findSection(kSnapFaults) != nullptr) !=
-            (injector_ != nullptr)) {
-        if (err)
-            *err = "snapshot: optional section set does not match "
-                   "the machine's component set";
-        return false;
-    }
-
-    // Wire the active kernel before the sections that validate
-    // against it (MACH's active flag, each cluster's slot count).
-    active_ = std::move(activeInv);
-    if (active_)
-        active_->startOverhead = cfg_.kernelStartOverhead;
-    for (Cluster &c : clusters_)
-        c.restoreBind(active_.get());
-    activeKernelName_ = active_ && tracer_.on()
-        ? tracer_.intern(active_->graph->name()) : nullptr;
-
-    bool ok =
-        loadSection(snap, kSnapMachine, "machine", err,
-                    [&](SnapshotReader &r) {
-                        return loadMachineSection(r);
-                    }) &&
-        loadSection(snap, kSnapSrf, "srf", err,
-                    [&](SnapshotReader &r) {
-                        return srf_.loadState(r);
-                    }) &&
-        loadSection(snap, kSnapCrossbar, "crossbar", err,
-                    [&](SnapshotReader &r) {
-                        return dataNet_.loadState(r);
-                    }) &&
-        loadSection(snap, kSnapClusters, "clusters", err,
-                    [&](SnapshotReader &r) {
-                        uint64_t n = 0;
-                        if (!r.len(n, 1) || n != clusters_.size())
-                            return false;
-                        for (Cluster &c : clusters_)
-                            if (!c.loadState(r))
-                                return false;
-                        return true;
-                    }) &&
-        loadSection(snap, kSnapMemory, "memory", err,
-                    [&](SnapshotReader &r) {
-                        return mem_.loadState(r);
-                    });
-    if (ok && watchdog_)
-        ok = loadSection(snap, kSnapWatchdog, "watchdog", err,
-                         [&](SnapshotReader &r) {
-                             return watchdog_->loadState(r);
-                         });
-    if (ok && sampler_)
-        ok = loadSection(snap, kSnapSampler, "sampler", err,
-                         [&](SnapshotReader &r) {
-                             return sampler_->loadState(r);
-                         });
-    if (ok && injector_)
-        ok = loadSection(snap, kSnapFaults, "faults", err,
-                         [&](SnapshotReader &r) {
-                             return injector_->loadState(r);
-                         });
-    if (!ok)
-        return false;
-
-    // Every component's absolute-cycle state is from `snap`; move the
-    // clock last so the machine resumes exactly at the saved boundary.
-    engine_.restoreClock(snap.cycle);
-    return true;
 }
 
 } // namespace isrf

@@ -78,8 +78,6 @@ class Machine : public Ticked
     Engine &engine() { return engine_; }
     Cycle now() const { return engine_.now(); }
     uint32_t lanes() const { return cfg_.srf.lanes; }
-    /** One lane's compute cluster (read-only view). */
-    const Cluster &cluster(uint32_t lane) const { return clusters_[lane]; }
 
     /**
      * This machine's private event tracer. Every component of this
@@ -190,50 +188,10 @@ class Machine : public Ticked
     /** Publish SRF/memory fault counters into their stat groups. */
     void syncFaultStats();
 
-    // ------------------------------------------------------------------
-    // Snapshot (util/snapshot.h, DESIGN.md §17)
-    // ------------------------------------------------------------------
-
-    /**
-     * Attach a checkpoint context (null = checkpointing off). The run
-     * loop (StreamProgram::run) saves/restores through it.
-     */
-    void setCheckpoint(CheckpointContext *ctx) { checkpoint_ = ctx; }
-    CheckpointContext *checkpoint() const { return checkpoint_; }
-
-    /**
-     * FNV-1a over every config field that shapes snapshot section
-     * layout (kind, SRF geometry, memory/cache/DRAM sizing, seed,
-     * fault/sampler wiring). Stored in the snapshot header and checked
-     * by loadSnapshot() before any component state is touched.
-     */
-    uint64_t geometryHash() const;
-
-    /**
-     * Serialize the complete machine state (all components + clock)
-     * into `snap`. Must be called at a cycle boundary (between engine
-     * steps). The caller stamps the job fingerprint.
-     */
-    void saveSnapshot(Snapshot &snap);
-
-    /**
-     * Restore a verified snapshot into this machine, which must have
-     * been init()ed with the same config that produced it.
-     * `activeInv` is the deterministically rebuilt invocation of the
-     * kernel that was mid-flight at save time (null when none was).
-     * On failure returns false with *err set and the machine must be
-     * considered poisoned: re-init() and restart from zero.
-     */
-    bool loadSnapshot(const Snapshot &snap,
-                      std::shared_ptr<KernelInvocation> activeInv,
-                      std::string *err);
-
   private:
     void finishKernelIfDone(Cycle now);
     void initSampler();
     void initFaults();
-    void saveMachineSection(SnapshotWriter &w) const;
-    bool loadMachineSection(SnapshotReader &r);
 
     MachineConfig cfg_;
     Tracer tracer_;
@@ -264,7 +222,6 @@ class Machine : public Ticked
 
     TimeBreakdown breakdown_;
     std::map<std::string, KernelBwRecord> kernelBw_;
-    CheckpointContext *checkpoint_ = nullptr;
 };
 
 } // namespace isrf

@@ -21,6 +21,8 @@ namespace isrf {
 /**
  * Bump allocator over each lane's SRF words (all lanes are allocated
  * in lockstep: a region is the same address range in every bank).
+ * Scopes free in stack order: closing a scope returns every word
+ * allocated since it opened.
  */
 class SrfAllocator
 {
@@ -35,6 +37,7 @@ class SrfAllocator
     {
         geom_ = geom;
         cursor_ = 0;
+        scopes_.clear();
     }
 
     /**
@@ -74,6 +77,29 @@ class SrfAllocator
     /** Reset all allocations (between program phases). */
     void reset() { cursor_ = 0; }
 
+    /** Open a scope at the current cursor. @return its depth. */
+    size_t
+    openScope()
+    {
+        scopes_.push_back(cursor_);
+        return scopes_.size() - 1;
+    }
+
+    /**
+     * Free everything allocated since scope `depth` opened.
+     * @return false, freeing nothing, unless `depth` is the innermost
+     *         open scope.
+     */
+    bool
+    closeScope(size_t depth)
+    {
+        if (depth + 1 != scopes_.size())
+            return false;
+        cursor_ = scopes_.back();
+        scopes_.pop_back();
+        return true;
+    }
+
     /** Unallocated words per lane. */
     uint64_t freeWords() const { return geom_.laneWords - cursor_; }
     uint64_t usedWords() const { return cursor_; }
@@ -89,6 +115,8 @@ class SrfAllocator
 
     SrfGeometry geom_;
     uint64_t cursor_ = 0;
+    /** Cursor at each open scope's start, outermost first. */
+    std::vector<uint64_t> scopes_;
 };
 
 } // namespace isrf

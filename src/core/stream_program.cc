@@ -2,12 +2,12 @@
 
 #include <algorithm>
 
-#include "util/hash.h"
 #include "util/log.h"
 
 namespace isrf {
 
-StreamProgram::StreamProgram(Machine &m) : machine_(m)
+StreamProgram::StreamProgram(Machine &m)
+    : machine_(m), allocScope_(m.allocator().openScope())
 {
     uint32_t n = m.config().srf.maxStreamSlots;
     lastWriter_.assign(n, -1);
@@ -18,6 +18,10 @@ StreamProgram::~StreamProgram()
 {
     for (SlotId id : openedSlots_)
         machine_.srf().closeSlot(id);
+    if (!machine_.allocator().closeScope(allocScope_))
+        panic("StreamProgram destroyed out of order: programs on one "
+              "Machine must be destroyed in reverse order of "
+              "construction, and before the Machine is re-initialised");
 }
 
 SlotId
@@ -256,8 +260,8 @@ StreamProgram::buildScoreboard()
         else if (op.issued && op.kind == Op::Kind::Mem)
             inFlightMem_.push_back(id);
     }
-    // A restored or resumed program may hold mem ops that finished
-    // since its cursor was taken.
+    // A program run() again after a stop may hold mem ops that
+    // finished since it last ran.
     memCompletionSeen_ = machine_.mem().lastCompletion();
     pollMemOps();
 }
@@ -346,181 +350,12 @@ StreamProgram::tryIssue()
 }
 
 uint64_t
-StreamProgram::structureHash() const
-{
-    std::string canon;
-    canon.reserve(ops_.size() * 48);
-    canon += strprintf("ops=%zu slots=%zu|", ops_.size(),
-                       openedSlots_.size());
-    for (const Op &op : ops_) {
-        if (op.kind == Op::Kind::Mem) {
-            canon += strprintf(
-                "m%u@%llu:s%d:l%llu:i%zu:r%u:c%u:o%llu",
-                static_cast<unsigned>(op.mem.kind),
-                static_cast<unsigned long long>(op.mem.memBase),
-                op.mem.srfSlot,
-                static_cast<unsigned long long>(op.mem.lengthWords),
-                op.mem.indices.size(), op.mem.recordWords,
-                op.mem.cached ? 1u : 0u,
-                static_cast<unsigned long long>(op.mem.dstOffsetWords));
-        } else {
-            canon += strprintf("k%s:n%zu", op.inv->graph->name().c_str(),
-                               op.inv->slots.size());
-            for (SlotId s : op.inv->slots)
-                canon += strprintf(",%d", s);
-        }
-        canon += '[';
-        for (ProgOpId d : op.deps)
-            canon += strprintf("%d,", d);
-        canon += "];";
-    }
-    return fnv1a(canon);
-}
-
-void
-StreamProgram::saveState(SnapshotWriter &w) const
-{
-    size_t completedPrefix = 0;
-    while (completedPrefix < ops_.size() && ops_[completedPrefix].completed)
-        completedPrefix++;
-    w.u64(structureHash());
-    w.u64(completedPrefix);
-    w.i64(activeKernelOp_);
-    w.u64(ops_.size());
-    for (const Op &op : ops_) {
-        w.b(op.issued);
-        w.b(op.completed);
-        w.i64(op.memId);
-    }
-}
-
-bool
-StreamProgram::loadState(SnapshotReader &r)
-{
-    uint64_t hash = 0;
-    if (!r.u64(hash))
-        return false;
-    if (hash != structureHash()) {
-        r.markFailed();
-        return false;
-    }
-    uint64_t prefix = 0;
-    int64_t activeOp = -1;
-    uint64_t nops = 0;
-    if (!r.u64(prefix) || !r.i64(activeOp) || !r.len(nops, 10))
-        return false;
-    if (nops != ops_.size() || prefix > nops ||
-        activeOp >= static_cast<int64_t>(nops)) {
-        r.markFailed();
-        return false;
-    }
-    if (activeOp >= 0 && ops_[static_cast<size_t>(activeOp)].kind !=
-            Op::Kind::Kernel) {
-        r.markFailed();
-        return false;
-    }
-    for (Op &op : ops_)
-        if (!r.b(op.issued) || !r.b(op.completed) || !r.i64(op.memId))
-            return false;
-    activeKernelOp_ = static_cast<ProgOpId>(activeOp);
-    return true;
-}
-
-void
-StreamProgram::maybeRestore(CheckpointContext &ckpt)
-{
-    Snapshot snap;
-    std::string err;
-    switch (loadSnapshotFile(ckpt.path(), ckpt.fingerprint(), snap,
-                             err)) {
-      case SnapshotLoad::Missing:
-        return;
-      case SnapshotLoad::Corrupt:
-        quarantineSnapshotFile(ckpt.path(), err);
-        ckpt.noteQuarantined();
-        return;
-      case SnapshotLoad::Stale:
-        // A valid checkpoint from a different job: never ours to
-        // apply or to destroy.
-        ISRF_WARN("checkpoint %s ignored: %s", ckpt.path().c_str(),
-                  err.c_str());
-        return;
-      case SnapshotLoad::Ok:
-        break;
-    }
-    const std::string *prog = snap.findSection(kSnapProgram);
-    if (!prog) {
-        quarantineSnapshotFile(ckpt.path(),
-                               "missing program section");
-        ckpt.noteQuarantined();
-        return;
-    }
-    SnapshotReader pr(*prog);
-    // loadState checks the structural hash before touching any state,
-    // so a checkpoint from another phase of a multi-program workload
-    // is skipped cleanly here (the right program will pick it up).
-    if (!loadState(pr) || !pr.atEnd()) {
-        ISRF_WARN("checkpoint %s: not for this stream program; "
-                  "starting from zero", ckpt.path().c_str());
-        return;
-    }
-    std::shared_ptr<KernelInvocation> activeInv;
-    if (activeKernelOp_ >= 0)
-        activeInv = ops_[static_cast<size_t>(activeKernelOp_)].inv;
-    if (!machine_.loadSnapshot(snap, std::move(activeInv), &err)) {
-        // Unreachable for on-disk corruption (every checksum, the
-        // geometry hash and the program hash verified above, before
-        // any machine mutation); reaching it means this binary's
-        // section layout drifted without a format-version bump, and
-        // the machine is part-restored — stopping is the only path
-        // that cannot produce a wrong result.
-        quarantineSnapshotFile(ckpt.path(), err);
-        panic("StreamProgram: verified checkpoint failed to apply "
-              "(%s) — snapshot layout drift?", err.c_str());
-    }
-    ckpt.noteRestored(machine_.now());
-    ISRF_WARN("resumed from checkpoint %s at cycle %llu",
-              ckpt.path().c_str(),
-              static_cast<unsigned long long>(machine_.now()));
-}
-
-void
-StreamProgram::saveCheckpoint(CheckpointContext &ckpt)
-{
-    Snapshot snap;
-    machine_.saveSnapshot(snap);
-    snap.fingerprint = ckpt.fingerprint();
-    SnapshotWriter pw;
-    saveState(pw);
-    snap.addSection(kSnapProgram, pw);
-    std::string err;
-    if (snap.writeAtomic(ckpt.path(), err)) {
-        ckpt.noteSaved(machine_.now());
-    } else {
-        // A failed save never blocks the run; the job just loses this
-        // restart point.
-        ISRF_WARN("checkpoint save to %s failed: %s",
-                  ckpt.path().c_str(), err.c_str());
-        ckpt.noteSaveFailed(machine_.now());
-    }
-}
-
-uint64_t
 StreamProgram::run(uint64_t maxCycles)
 {
     const Cycle start = machine_.now();
     uint64_t cycles = 0;
     status_ = RunStatus::Done;
     Profiler::Scope prof(machine_.profiler(), Profiler::Run);
-    // Mid-job checkpointing (DESIGN.md §17): resume from the newest
-    // valid checkpoint before the first step — `start` stays at the
-    // pre-restore clock, so the returned cycle count (and every
-    // downstream report) is identical to an uninterrupted run.
-    CheckpointContext *ckpt = machine_.checkpoint();
-    if (ckpt)
-        maybeRestore(*ckpt);
-    const Cycle execStart = machine_.now();
-    cycles = execStart - start;
     buildScoreboard();
     while (true) {
         updateCompletion();
@@ -556,16 +391,7 @@ StreamProgram::run(uint64_t maxCycles)
         if (cycles > maxCycles)
             panic("StreamProgram::run: exceeded %llu cycles (deadlock?)",
                   static_cast<unsigned long long>(maxCycles));
-        if (ckpt && ckpt->saveDue(machine_.now())) {
-            saveCheckpoint(*ckpt);
-            if (ckpt->stopAfterSave && ckpt->saves() > 0) {
-                status_ = RunStatus::Cancelled;
-                break;
-            }
-        }
     }
-    if (ckpt)
-        ckpt->addExecuted(machine_.now() - execStart);
     machine_.noteRunStatus(status_);
     return cycles;
 }

@@ -38,6 +38,10 @@ using ProgOpId = int32_t;
  *
  * Dependencies are inferred from stream usage (RAW, WAR, WAW on SRF
  * slots); explicit extra edges can be added with dependsOn().
+ *
+ * The destructor closes the program's slots and frees its SRF words,
+ * so programs may run one after another on one Machine. Programs that
+ * share a Machine must be destroyed in reverse order of construction.
  */
 class StreamProgram
 {
@@ -139,38 +143,7 @@ class StreamProgram
 
     Machine &machine() { return machine_; }
 
-    // ------------------------------------------------------------------
-    // Snapshot (util/snapshot.h, DESIGN.md §17)
-    //
-    // The program GRAPH (streams, ops, dependencies) is rebuilt
-    // deterministically by the workload from its config before run();
-    // only the runtime cursor (per-op issued/completed/memId, the
-    // completed-prefix length, the active kernel op) travels in the
-    // checkpoint, guarded by a structural hash of the rebuilt graph.
-    // The issue scoreboard is derived from the cursor at run() start.
-    // run() restores from the machine's CheckpointContext before its
-    // first step and saves whenever the context says a checkpoint is
-    // due.
-    // ------------------------------------------------------------------
-
-    /** FNV-1a over the op graph's structure (kinds, slots, deps). */
-    uint64_t structureHash() const;
-
-    /** Runtime cursor only (see above). */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
-
   private:
-    /**
-     * Try to resume from the context's checkpoint file. Missing,
-     * stale, or other-program checkpoints are skipped (warn only);
-     * corrupt files are quarantined; a verified snapshot is applied to
-     * the program and the machine.
-     */
-    void maybeRestore(CheckpointContext &ckpt);
-
-    /** Serialize program + machine and write atomically. */
-    void saveCheckpoint(CheckpointContext &ckpt);
     struct Op
     {
         enum class Kind { Mem, Kernel } kind;
@@ -192,7 +165,7 @@ class StreamProgram
     /**
      * Derive the scoreboard below from `deps` and the issued/completed
      * flags: dependency counters, the dependents table, the ready and
-     * in-flight lists. Runs at run() start, after any restore.
+     * in-flight lists. Runs at run() start.
      */
     void buildScoreboard();
     /** Mark an op completed and release its dependents. */
@@ -207,6 +180,8 @@ class StreamProgram
     void tryIssue();
 
     Machine &machine_;
+    /** SrfAllocator scope holding this program's streams. */
+    size_t allocScope_;
     std::vector<Op> ops_;
     /** Per-slot last writer / readers since last write (dep inference). */
     std::vector<ProgOpId> lastWriter_;

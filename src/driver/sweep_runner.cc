@@ -16,7 +16,6 @@
 #include "util/jsonl.h"
 #include "util/log.h"
 #include "util/random.h"
-#include "util/snapshot.h"
 #include "workloads/external.h"
 
 namespace isrf {
@@ -35,7 +34,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 // Fingerprinting
 // ----------------------------------------------------------------------
 
-// FNV-1a (util/hash.h): the store and the journal must hash alike.
 /** Journal format version; bump on any record-layout change. */
 constexpr uint64_t kJournalVersion = 1;
 
@@ -52,10 +50,6 @@ constexpr uint64_t kJournalVersion = 1;
  *                       default 0 — see there)
  *   profileEnabled      host-time profiling reads only the wall clock
  *   profileStride       ditto
- *   deadlineCheckCycles poll interval for wall-clock deadlines; it
- *                       changes when a TimedOut is noticed, never the
- *                       results of a run that completes (TimedOut is
- *                       not replayable anyway)
  *
  * Keep this list, canonicalJob(), and the fromEnv() doc comment in
  * sync; tests assert canonical text is unchanged for non-observability
@@ -65,8 +59,8 @@ const std::vector<std::string> &
 observabilityKnobList()
 {
     static const std::vector<std::string> knobs = {
-        "traceSpec",          "traceCapacity",  "statSampleInterval",
-        "profileEnabled",     "profileStride",  "deadlineCheckCycles",
+        "traceSpec",      "traceCapacity", "statSampleInterval",
+        "profileEnabled", "profileStride",
     };
     return knobs;
 }
@@ -209,24 +203,6 @@ canonicalJob(const SweepJob &job)
             static_cast<unsigned long long>(fnv)));
     }
     return s;
-}
-
-// ----------------------------------------------------------------------
-// Checkpoints
-// ----------------------------------------------------------------------
-
-/**
- * mkdir -p for the checkpoint directory (util/snapshot.h). Failure is
- * fatal(): a sweep asked to checkpoint into an uncreatable directory
- * is a user error better caught before hours of simulation than
- * warned about per job.
- */
-void
-requireCheckpointDir(const std::string &dir)
-{
-    std::string err;
-    if (!ensureCheckpointDir(dir, err))
-        fatal("%s", err.c_str());
 }
 
 // ----------------------------------------------------------------------
@@ -480,11 +456,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
         fps[i] = fingerprint(jobs[i]);
     const uint64_t sweepFp = sweepFingerprint(jobs);
 
-    const bool checkpointing = !policy.checkpointDir.empty();
-    if (checkpointing)
-        requireCheckpointDir(policy.checkpointDir);
-    std::atomic<uint64_t> ckptSaves{0}, ckptRestores{0}, ckptCycles{0};
-
     // --- journal: load for resume, then (re)open for appending ------
     JsonlWriter journal;
     std::mutex journalMu;
@@ -546,11 +517,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                 o.resultText = rec.resultText;
                 o.result = decodeResult(rec, jobs[i]);
                 timing_.replayed++;
-                // The job finished before the interrupted sweep died;
-                // any checkpoint it left behind is dead weight.
-                if (checkpointing)
-                    ::unlink(checkpointFilePath(policy.checkpointDir,
-                                            fps[i]).c_str());
             }
             appendExisting = true;
         }
@@ -589,14 +555,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
         // rerun of the same sweep, different schedules across jobs.
         Rng jitter(fps[idx] ^ 0x9e3779b97f4a7c15ull);
 
-        // One context per job, shared across attempts: a TimedOut
-        // attempt's checkpoint lets its retry resume mid-flight.
-        std::unique_ptr<CheckpointContext> ckpt;
-        if (checkpointing)
-            ckpt = std::make_unique<CheckpointContext>(
-                checkpointFilePath(policy.checkpointDir, fps[idx]),
-                fps[idx], policy.checkpointEveryCycles);
-
         for (uint32_t attempt = 1; attempt <= maxAttempts; attempt++) {
             CancelToken token;
             token.chainTo(policy.cancel);
@@ -604,8 +562,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                 token.setTimeout(policy.timeoutSeconds);
             WorkloadOptions opts = job.opts;
             opts.cancel = &token;
-            if (ckpt)
-                opts.checkpoint = ckpt.get();
 
             auto t0 = std::chrono::steady_clock::now();
             WorkloadResult r;
@@ -685,17 +641,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                     std::chrono::milliseconds(10));
             }
         }
-
-        if (ckpt) {
-            ckptSaves.fetch_add(ckpt->saves());
-            ckptRestores.fetch_add(ckpt->restores());
-            ckptCycles.fetch_add(ckpt->executedCycles());
-            // A replayable outcome is journaled for good: its
-            // checkpoint will never be read again. TimedOut/Cancelled
-            // keep theirs so the next sweep resumes mid-flight.
-            if (replayable(o.status))
-                ckpt->removeFile();
-        }
     };
 
     // Index-addressed result slots make submission-order output
@@ -732,9 +677,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
     for (const auto &o : out)
         if (!o.fromJournal)
             timing_.sumJobSeconds += o.wallSeconds;
-    timing_.checkpointSaves = ckptSaves.load();
-    timing_.checkpointRestores = ckptRestores.load();
-    timing_.simCyclesExecuted = ckptCycles.load();
     return out;
 }
 

@@ -94,17 +94,6 @@ struct SweepTiming
     size_t tornRecordsDropped = 0;
     size_t tornBytesDropped = 0;
     size_t journalLinesSkipped = 0;
-    /**
-     * Checkpoint accounting (0 unless SweepPolicy::checkpointDir is
-     * set): snapshot files written, jobs resumed mid-flight from a
-     * checkpoint, and total simulated cycles actually executed by this
-     * process (excluding cycles skipped by restores). The CI
-     * resilience check asserts a resumed sweep executes strictly fewer
-     * cycles than its uninterrupted baseline.
-     */
-    uint64_t checkpointSaves = 0;
-    uint64_t checkpointRestores = 0;
-    uint64_t simCyclesExecuted = 0;
     /** Aggregate parallel speedup: sum of job times / sweep wall. */
     double speedup() const
     {
@@ -139,20 +128,6 @@ struct SweepPolicy
     bool resume = false;
     /** External whole-sweep cancellation (nullptr = none). */
     const CancelToken *cancel = nullptr;
-    /**
-     * Mid-job checkpoint directory ("" = checkpointing off). Each job
-     * writes <dir>/job-<fingerprint>.ckpt every checkpointEveryCycles
-     * simulated cycles (util/snapshot.h); on the next run of the same
-     * matrix an in-flight job resumes from its newest valid
-     * checkpoint. The file is removed once the job reaches a
-     * replayable (journalable) outcome, and kept for TimedOut /
-     * Cancelled attempts so the retry or the next sweep resumes
-     * mid-flight. Excluded from job fingerprints: checkpointing
-     * observes a run without changing its results.
-     */
-    std::string checkpointDir;
-    /** Checkpoint cadence in simulated cycles (0 = only on request). */
-    uint64_t checkpointEveryCycles = 0;
 };
 
 /** One journaled attempt record, decoded. */

@@ -94,43 +94,4 @@ EccDomain::clear()
     uncorrectable_ = 0;
 }
 
-void
-EccDomain::saveState(SnapshotWriter &w) const
-{
-    std::vector<uint64_t> addrs;
-    addrs.reserve(entries_.size());
-    for (const auto &kv : entries_)
-        addrs.push_back(kv.first);
-    std::sort(addrs.begin(), addrs.end());
-    w.u64(addrs.size());
-    for (uint64_t addr : addrs) {
-        const Entry &e = entries_.at(addr);
-        w.u64(addr);
-        w.u32(e.mask);
-        w.b(e.transient);
-    }
-    w.u64(faultsInjected_);
-    w.u64(bitsFlipped_);
-    w.u64(corrected_);
-    w.u64(uncorrectable_);
-}
-
-bool
-EccDomain::loadState(SnapshotReader &r)
-{
-    uint64_t n = 0;
-    if (!r.len(n, 13))
-        return false;
-    entries_.clear();
-    for (uint64_t i = 0; i < n; i++) {
-        uint64_t addr;
-        Entry e;
-        if (!r.u64(addr) || !r.u32(e.mask) || !r.b(e.transient))
-            return false;
-        entries_[addr] = e;
-    }
-    return r.u64(faultsInjected_) && r.u64(bitsFlipped_) &&
-           r.u64(corrected_) && r.u64(uncorrectable_);
-}
-
 } // namespace isrf

@@ -19,7 +19,6 @@
 #include <unordered_map>
 
 #include "sim/ticked.h"
-#include "util/snapshot.h"
 
 namespace isrf {
 
@@ -82,11 +81,6 @@ class EccDomain
     uint64_t bitsFlipped() const { return bitsFlipped_; }
     uint64_t corrected() const { return corrected_; }
     uint64_t uncorrectable() const { return uncorrectable_; }
-
-    /** Pending fault masks (address-sorted for determinism) and
-     *  counters (util/snapshot.h). */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
 
   private:
     struct Entry

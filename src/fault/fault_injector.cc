@@ -103,31 +103,4 @@ FaultInjector::inject(Cycle now)
     }
 }
 
-void
-FaultInjector::saveState(SnapshotWriter &w) const
-{
-    rng_.saveState(w);
-    w.u64(sched_.size());
-    for (const EntryState &st : sched_) {
-        w.u64(st.next);
-        w.u64(st.remaining);
-    }
-    w.u64(totalInjected_);
-    stats_.saveState(w);
-}
-
-bool
-FaultInjector::loadState(SnapshotReader &r)
-{
-    if (!rng_.loadState(r))
-        return false;
-    uint64_t n = 0;
-    if (!r.len(n, 16) || n != sched_.size())
-        return false;
-    for (EntryState &st : sched_)
-        if (!r.u64(st.next) || !r.u64(st.remaining))
-            return false;
-    return r.u64(totalInjected_) && stats_.loadState(r);
-}
-
 } // namespace isrf

@@ -48,11 +48,6 @@ class FaultInjector
     const StatGroup &stats() const { return stats_; }
     const FaultConfig &config() const { return cfg_; }
 
-    /** RNG + per-entry fire schedule + stats (util/snapshot.h).
-     *  The schedule itself is init() config and must match. */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
-
   private:
     struct EntryState
     {

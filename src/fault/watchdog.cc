@@ -85,21 +85,4 @@ Watchdog::rearm()
         lastProgress_ = progress_();
 }
 
-void
-Watchdog::saveState(SnapshotWriter &w) const
-{
-    w.u64(nextCheck_);
-    w.u64(lastProgress_);
-    w.u32(stalled_);
-    w.b(triggered_);
-    w.u64(triggeredCycle_);
-}
-
-bool
-Watchdog::loadState(SnapshotReader &r)
-{
-    return r.u64(nextCheck_) && r.u64(lastProgress_) &&
-        r.u32(stalled_) && r.b(triggered_) && r.u64(triggeredCycle_);
-}
-
 } // namespace isrf

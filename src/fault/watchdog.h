@@ -17,7 +17,6 @@
 #include <string>
 
 #include "sim/ticked.h"
-#include "util/snapshot.h"
 
 namespace isrf {
 
@@ -52,10 +51,6 @@ class Watchdog : public Ticked
 
     /** Re-arm after a trip (diagnostics are kept until the next one). */
     void rearm();
-
-    /** Check schedule + stall progress state (util/snapshot.h). */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
 
   private:
     uint64_t interval_ = 0;

@@ -81,11 +81,6 @@ class Cache
         writebacks_ = 0;
     }
 
-    /** Valid lines + LRU stamp + hit/miss counters (util/snapshot.h).
-     *  Geometry is init() state and must match. */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
-
   private:
     struct Line
     {

@@ -195,84 +195,4 @@ Dram::requestWordsCost(uint32_t want, double costFactor)
     return n;
 }
 
-void
-Dram::saveState(SnapshotWriter &w) const
-{
-    w.u64(mem_.size());
-    // Run-length encode storage: most of DRAM is untouched zeros.
-    uint64_t nruns = 0;
-    for (size_t i = 0; i < mem_.size(); nruns++) {
-        size_t j = i + 1;
-        while (j < mem_.size() && mem_[j] == mem_[i])
-            j++;
-        i = j;
-    }
-    w.u64(nruns);
-    for (size_t i = 0; i < mem_.size();) {
-        size_t j = i + 1;
-        while (j < mem_.size() && mem_[j] == mem_[i])
-            j++;
-        w.u64(j - i);
-        w.u32(mem_[i]);
-        i = j;
-    }
-    ecc_.saveState(w);
-    w.u64(openRow_.size());
-    for (int64_t row : openRow_)
-        w.i64(row);
-    w.f64(tokens_);
-    w.u64(now_);
-    w.u64(rowHits_);
-    w.u64(rowMisses_);
-    w.u64(wordsTransferred_);
-    w.u64(seqWords_);
-    w.u64(randomWords_);
-}
-
-bool
-Dram::loadState(SnapshotReader &r)
-{
-    uint64_t nwords = 0, nruns = 0;
-    if (!r.u64(nwords) || !r.len(nruns, 12))
-        return false;
-    if (nwords != mem_.size()) {
-        r.markFailed();
-        return false;
-    }
-    // Start from fresh zero pages and write only the non-zero runs, so
-    // a restored job stays as small as the one that was saved.
-    mem_ = decltype(mem_)(nwords);
-    uint64_t at = 0;
-    for (uint64_t run = 0; run < nruns; run++) {
-        uint64_t count = 0;
-        Word value = 0;
-        if (!r.u64(count) || !r.u32(value))
-            return false;
-        if (count == 0 || count > mem_.size() - at) {
-            r.markFailed();
-            return false;
-        }
-        if (value != 0)
-            std::fill(mem_.begin() + static_cast<ptrdiff_t>(at),
-                      mem_.begin() + static_cast<ptrdiff_t>(at + count),
-                      value);
-        at += count;
-    }
-    if (at != mem_.size()) {
-        r.markFailed();
-        return false;
-    }
-    if (!ecc_.loadState(r))
-        return false;
-    uint64_t nbanks = 0;
-    if (!r.len(nbanks, 8) || nbanks != openRow_.size())
-        return false;
-    for (int64_t &row : openRow_)
-        if (!r.i64(row))
-            return false;
-    return r.f64(tokens_) && r.u64(now_) && r.u64(rowHits_) &&
-        r.u64(rowMisses_) && r.u64(wordsTransferred_) &&
-        r.u64(seqWords_) && r.u64(randomWords_);
-}
-
 } // namespace isrf

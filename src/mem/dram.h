@@ -101,8 +101,8 @@ struct ZeroPageAllocator
  * ZeroPageAllocator, so no word is written until the machine writes
  * it. Untouched words read 0, and resident memory grows with the
  * pages a job touches rather than with capacityWords (the Table 3
- * machine's 64 MB). Every init() and loadState() starts from a freshly
- * allocated array, never a recycled one.
+ * machine's 64 MB). Every init() starts from a freshly allocated
+ * array, never a recycled one.
  */
 class Dram
 {
@@ -191,15 +191,6 @@ class Dram
         seqWords_ = 0;
         randomWords_ = 0;
     }
-
-    /**
-     * Snapshot (util/snapshot.h): functional storage is run-length
-     * encoded ((count, value) runs — checkpoints stay small while most
-     * of DRAM is untouched zeros), plus ECC, row-buffer state, the
-     * token bucket and counters. Capacity is init() state, must match.
-     */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
 
   private:
     DramConfig cfg_;

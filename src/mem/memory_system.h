@@ -86,10 +86,6 @@ class MemorySystem
     /** Publish fault/ECC counters into this group's stats. */
     void syncFaultStats();
 
-    /** Queue, units, DRAM, cache and stats (util/snapshot.h). */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
-
   private:
     struct Pending
     {

@@ -46,10 +46,6 @@ struct MemOp
     uint64_t dstOffsetWords = 0;
 };
 
-/** Serialize/deserialize one MemOp (util/snapshot.h). */
-void saveMemOp(SnapshotWriter &w, const MemOp &op);
-bool loadMemOp(SnapshotReader &r, MemOp &op);
-
 /** Shared per-cycle bandwidth state owned by the MemorySystem. */
 struct MemBandwidth
 {
@@ -100,10 +96,6 @@ class StreamMemUnit
     uint64_t delayedCycles() const { return delayedCycles_; }
     /** True if the current/last op completed with poisoned words. */
     bool opPoisoned() const { return opPoisoned_; }
-
-    /** In-flight op + cursors + staging + retry state (snapshot). */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
 
   private:
     /** Total words this op moves. */

@@ -23,8 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/snapshot.h"
-
 namespace isrf {
 
 /** Interconnect topology (§7 future work: sparse interconnects). */
@@ -80,28 +78,6 @@ class Crossbar
     uint32_t ports() const { return ports_; }
     uint64_t transfers() const { return transfers_; }
     uint64_t rejects() const { return rejects_; }
-
-    /** Counters only: per-cycle budgets restore fresh (snapshots are
-     *  taken at cycle boundaries, before the next newCycle()). */
-    void
-    saveState(SnapshotWriter &w) const
-    {
-        w.u64(transfers_);
-        w.u64(rejects_);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        for (auto &u : srcUsed_)
-            u = 0;
-        for (auto &u : dstUsed_)
-            u = 0;
-        for (auto &u : linkUsed_)
-            u = 0;
-        dirty_ = false;
-        return r.u64(transfers_) && r.u64(rejects_);
-    }
 
   private:
     /** Ring links on the minimal src→dst path (link i = i -> i+1 cw,

@@ -56,9 +56,6 @@ class IndexNetwork
     uint64_t routed() const { return xbar_.transfers(); }
     uint64_t rejected() const { return xbar_.rejects(); }
 
-    void saveState(SnapshotWriter &w) const { xbar_.saveState(w); }
-    bool loadState(SnapshotReader &r) { return xbar_.loadState(r); }
-
   private:
     Crossbar xbar_;
 };

@@ -34,11 +34,11 @@ Engine::pollCancel()
         return RunStatus::Done;
     // The atomic flag is a relaxed load — cheap enough for every
     // check point. The wall clock is read at most once per
-    // deadlineCheckCycles_ simulated cycles.
+    // kDeadlineCheckCycles simulated cycles.
     if (cancel_->cancelRequested())
         return RunStatus::Cancelled;
     if (now_ >= nextDeadlineCheck_) {
-        nextDeadlineCheck_ = now_ + deadlineCheckCycles_;
+        nextDeadlineCheck_ = now_ + kDeadlineCheckCycles;
         if (cancel_->deadlineExpired())
             return RunStatus::TimedOut;
     }

@@ -160,7 +160,7 @@ class Engine
      * token. runUntil() — and any external drive loop that calls
      * pollCancel(), e.g. StreamProgram::run — checks the token at
      * cycle boundaries: the cancelled flag every check, the wall-clock
-     * deadline only once per deadlineCheckCycles() so the hot loop
+     * deadline only once per kDeadlineCheckCycles so the hot loop
      * never pays a clock read per cycle. Cancellation is only ever
      * observed between engine steps, at a consistent machine state.
      */
@@ -179,26 +179,8 @@ class Engine
      */
     RunStatus pollCancel();
 
-    /** Default cycles between wall-clock deadline checks. */
+    /** Cycles between wall-clock deadline checks in pollCancel(). */
     static constexpr Cycle kDeadlineCheckCycles = 1024;
-
-    /**
-     * Cycles between wall-clock deadline checks in pollCancel(). The
-     * default (kDeadlineCheckCycles) keeps batch sweeps cheap; the
-     * serving daemon tightens it so ms-scale per-request deadlines
-     * are observed promptly even on slow jobs. Purely an
-     * observability/latency knob: it changes *when* an expired
-     * deadline is noticed, never the results of a run that completes
-     * (MachineConfig::deadlineCheckCycles, excluded from job
-     * fingerprints via SweepRunner::observabilityKnobs()).
-     */
-    void
-    setDeadlineCheckCycles(Cycle n)
-    {
-        deadlineCheckCycles_ = n ? n : 1;
-        nextDeadlineCheck_ = 0;
-    }
-    Cycle deadlineCheckCycles() const { return deadlineCheckCycles_; }
 
     /** Advance one cycle: tick all, postTick all, now_++. */
     void step();
@@ -235,20 +217,6 @@ class Engine
     // absolute cycle numbers (watchdog checks, sampler boundaries,
     // fault schedules). Use clear() and re-register instead.
 
-    /**
-     * Snapshot restore only (Machine::loadSnapshot): set the clock to
-     * the checkpointed cycle. Callers must restore every registered
-     * component's absolute-cycle state in the same operation — the
-     * exact desynchronization hazard that got resetClock() removed is
-     * why this is not a general-purpose setter.
-     */
-    void
-    restoreClock(Cycle now)
-    {
-        now_ = now;
-        nextDeadlineCheck_ = 0;
-    }
-
     size_t componentCount() const { return components_.size(); }
 
   private:
@@ -261,7 +229,6 @@ class Engine
     const CancelToken *cancel_ = nullptr;
     /** Next absolute cycle at which pollCancel reads the wall clock. */
     Cycle nextDeadlineCheck_ = 0;
-    Cycle deadlineCheckCycles_ = kDeadlineCheckCycles;
 };
 
 } // namespace isrf

@@ -95,11 +95,6 @@ class StatSampler : public Ticked
     /** Write csv() to a file. @return false on I/O error. */
     bool writeCsv(const std::string &path) const;
 
-    /** Interval cursor, last-snapshot baseline and collected intervals
-     *  (util/snapshot.h). Registered sources are init() wiring. */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
-
   private:
     void rebaseline();
 

@@ -14,7 +14,6 @@
 #include <deque>
 
 #include "sim/ticked.h"
-#include "util/snapshot.h"
 
 namespace isrf {
 
@@ -105,45 +104,6 @@ class AddressFifo
     }
 
     void clear() { entries_.clear(); }
-
-    void
-    saveState(SnapshotWriter &w) const
-    {
-        w.u32(capacity_);
-        w.u32(recordWords_);
-        w.u64(entries_.size());
-        for (const AddrEntry &e : entries_) {
-            w.u32(e.recordIndex);
-            w.u64(e.seqNo);
-            w.u64(e.issueCycle);
-            w.b(e.isWrite);
-            w.u32(e.wordsIssued);
-            for (Word x : e.writeData)
-                w.u32(x);
-        }
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        uint64_t n = 0;
-        if (!r.u32(capacity_) || !r.u32(recordWords_) ||
-            !r.len(n, 41))
-            return false;
-        entries_.clear();
-        for (uint64_t i = 0; i < n; i++) {
-            AddrEntry e;
-            if (!r.u32(e.recordIndex) || !r.u64(e.seqNo) ||
-                !r.u64(e.issueCycle) || !r.b(e.isWrite) ||
-                !r.u32(e.wordsIssued))
-                return false;
-            for (Word &x : e.writeData)
-                if (!r.u32(x))
-                    return false;
-            entries_.push_back(e);
-        }
-        return true;
-    }
 
   private:
     uint32_t capacity_;

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "util/log.h"
-#include "util/snapshot.h"
 
 namespace isrf {
 
@@ -103,27 +102,6 @@ class RoundRobinArbiter
      * idleCycles_ grows, the priority pointer does not move.
      */
     void skipIdle(uint64_t n) { idleCycles_ += n; }
-
-    /** Rotation + counters; the claimant count is construction state. */
-    void
-    saveState(SnapshotWriter &w) const
-    {
-        w.u32(next_);
-        w.u64(grants_);
-        w.u64(idleCycles_);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        if (!r.u32(next_) || !r.u64(grants_) || !r.u64(idleCycles_))
-            return false;
-        if (n_ != 0 && next_ >= n_) {
-            r.markFailed();
-            return false;
-        }
-        return true;
-    }
 
   private:
     void

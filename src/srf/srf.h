@@ -263,21 +263,6 @@ class Srf
     /** Publish the fault counters into this group's stats. */
     void syncFaultStats();
 
-    // ------------------------------------------------------------------
-    // Snapshot (util/snapshot.h, DESIGN.md §17)
-    // ------------------------------------------------------------------
-
-    /**
-     * Serialize all architectural state: slots with their buffers and
-     * FIFOs, bank storage and remote queues, return queues,
-     * arbitration rotation and statistics. The event-driven masks and
-     * occupancy counters are derived state and are recomputed on
-     * loadState(); memClaims_ is intra-cycle state (cleared every
-     * beginCycle()) and is likewise not persisted.
-     */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
-
   private:
     struct LaneSlotState
     {

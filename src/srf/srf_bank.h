@@ -113,11 +113,6 @@ class SrfBank
 
     const EccDomain &ecc() const { return ecc_; }
 
-    /** Storage, remote queue, ECC, degradation and sub-array counters
-     *  (util/snapshot.h). Geometry is init() state and must match. */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
-
   private:
     /**
      * Physical sub-array serving addr: the geometric owner, or — once

@@ -11,7 +11,6 @@
 #define ISRF_SRF_SUB_ARRAY_H
 
 #include "sim/ticked.h"
-#include "util/snapshot.h"
 #include "util/stats.h"
 
 namespace isrf {
@@ -67,24 +66,6 @@ class SubArray
         indexedAccesses_ = 0;
         sequentialAccesses_ = 0;
         conflicts_ = 0;
-    }
-
-    /** Counters only; the port token is per-cycle state and restores
-     *  free (snapshots are taken at cycle boundaries). */
-    void
-    saveState(SnapshotWriter &w) const
-    {
-        w.u64(indexedAccesses_);
-        w.u64(sequentialAccesses_);
-        w.u64(conflicts_);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        busy_ = false;
-        return r.u64(indexedAccesses_) &&
-               r.u64(sequentialAccesses_) && r.u64(conflicts_);
     }
 
   private:

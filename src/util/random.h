@@ -11,8 +11,6 @@
 
 #include <cstdint>
 
-#include "util/snapshot.h"
-
 namespace isrf {
 
 /** Deterministic xoshiro256** PRNG with convenience helpers. */
@@ -75,23 +73,6 @@ class Rng
     uniformf(float lo, float hi)
     {
         return lo + static_cast<float>(uniform()) * (hi - lo);
-    }
-
-    /** Serialize the full generator state (util/snapshot.h). */
-    void
-    saveState(SnapshotWriter &w) const
-    {
-        for (uint64_t word : state_)
-            w.u64(word);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        for (auto &word : state_)
-            if (!r.u64(word))
-                return false;
-        return true;
     }
 
   private:

@@ -110,116 +110,6 @@ StatGroup::resetAll()
         kv.second.reset();
 }
 
-void
-Histogram::saveState(SnapshotWriter &w) const
-{
-    for (uint64_t b : buckets_)
-        w.u64(b);
-    w.u64(underflow_);
-    w.u64(overflow_);
-    w.u64(total_);
-    w.f64(sum_);
-}
-
-bool
-Histogram::loadState(SnapshotReader &r)
-{
-    for (uint64_t &b : buckets_)
-        if (!r.u64(b))
-            return false;
-    return r.u64(underflow_) && r.u64(overflow_) && r.u64(total_) &&
-           r.f64(sum_);
-}
-
-void
-StatGroup::saveState(SnapshotWriter &w) const
-{
-    w.u64(counters_.size());
-    for (const auto &kv : counters_) {
-        w.str(kv.first);
-        w.u64(kv.second.value());
-    }
-    w.u64(averages_.size());
-    for (const auto &kv : averages_) {
-        w.str(kv.first);
-        kv.second.saveState(w);
-    }
-    w.u64(histograms_.size());
-    for (const auto &kv : histograms_) {
-        w.str(kv.first);
-        w.f64(kv.second.lo_);
-        w.f64(kv.second.hi_);
-        w.u64(kv.second.buckets_.size());
-        kv.second.saveState(w);
-    }
-}
-
-bool
-StatGroup::loadState(SnapshotReader &r)
-{
-    // Restore in place: overwrite / create / zero, never erase, so a
-    // component's cached pointer into one of these maps (a lazily
-    // fetched Counter or Histogram) survives the restore.
-    uint64_t n = 0;
-    if (!r.len(n, 9))
-        return false;
-    std::map<std::string, Counter> loadedCounters;
-    for (uint64_t i = 0; i < n; i++) {
-        std::string name;
-        uint64_t v = 0;
-        if (!r.str(name) || !r.u64(v))
-            return false;
-        loadedCounters[name].set(v);
-        counters_[name].set(v);
-    }
-    for (auto &kv : counters_)
-        if (!loadedCounters.count(kv.first))
-            kv.second.reset();
-
-    if (!r.len(n, 9))
-        return false;
-    std::map<std::string, bool> seenAverages;
-    for (uint64_t i = 0; i < n; i++) {
-        std::string name;
-        if (!r.str(name) || !averages_[name].loadState(r))
-            return false;
-        seenAverages[name] = true;
-    }
-    for (auto &kv : averages_)
-        if (!seenAverages.count(kv.first))
-            kv.second.reset();
-
-    if (!r.len(n, 9))
-        return false;
-    std::map<std::string, bool> seenHistograms;
-    for (uint64_t i = 0; i < n; i++) {
-        std::string name;
-        double lo = 0, hi = 1;
-        uint64_t nbuckets = 0;
-        if (!r.str(name) || !r.f64(lo) || !r.f64(hi) ||
-            !r.len(nbuckets, 8))
-            return false;
-        if (nbuckets == 0 || hi <= lo) {
-            r.markFailed();
-            return false;
-        }
-        Histogram &h =
-            histogram(name, lo, hi, static_cast<size_t>(nbuckets));
-        if (h.buckets_.size() != nbuckets) {
-            // Geometry drift between save and load builds.
-            r.markFailed();
-            return false;
-        }
-        if (!h.loadState(r))
-            return false;
-        seenHistograms[name] = true;
-    }
-    for (auto &kv : histograms_)
-        if (!seenHistograms.count(kv.first))
-            kv.second.reset();
-    return true;
-}
-
 std::vector<std::string>
 StatGroup::formatRows() const
 {

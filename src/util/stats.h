@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "util/snapshot.h"
-
 namespace isrf {
 
 /** A monotonically increasing named counter. */
@@ -63,22 +61,6 @@ class Average
     double min() const { return min_; }
     double max() const { return max_; }
 
-    void
-    saveState(SnapshotWriter &w) const
-    {
-        w.f64(sum_);
-        w.u64(count_);
-        w.f64(min_);
-        w.f64(max_);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        return r.f64(sum_) && r.u64(count_) && r.f64(min_) &&
-               r.f64(max_);
-    }
-
   private:
     double sum_ = 0;
     uint64_t count_ = 0;
@@ -103,14 +85,7 @@ class Histogram
     double bucketHigh(size_t i) const;
     double mean() const { return total_ ? sum_ / total_ : 0.0; }
 
-    /** Bucket contents only; geometry (lo/hi/count) is construction
-     *  state and must already match. */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
-
   private:
-    friend class StatGroup;  // serializes geometry alongside contents
-
     double lo_;
     double hi_;
     std::vector<uint64_t> buckets_;
@@ -170,16 +145,6 @@ class StatGroup
 
     /** Render all stats as "group.stat = value" lines. */
     std::vector<std::string> formatRows() const;
-
-    /**
-     * Serialize every named stat. loadState() restores in place:
-     * existing entries are overwritten (map nodes are never erased,
-     * so components' cached Counter/Histogram pointers stay valid),
-     * snapshot-only entries are created, and entries absent from the
-     * snapshot are reset to zero.
-     */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
 
   private:
     std::string name_;

@@ -217,7 +217,6 @@ runFft2dSized(const MachineConfig &machineCfg, const WorkloadOptions &opts,
     Machine m;
     m.init(cfg);
     m.engine().setCancel(opts.cancel);
-    m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;
     res.workload = "FFT 2D";

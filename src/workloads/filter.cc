@@ -127,7 +127,6 @@ runFilter(const MachineConfig &machineCfg, const WorkloadOptions &opts)
     Machine m;
     m.init(cfg);
     m.engine().setCancel(opts.cancel);
-    m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;
     res.workload = "Filter";

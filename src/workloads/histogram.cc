@@ -79,7 +79,6 @@ runHistogram(const MachineConfig &machineCfg, const WorkloadOptions &opts)
     Machine m;
     m.init(cfg);
     m.engine().setCancel(opts.cancel);
-    m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;
     res.workload = "Histogram";

@@ -209,7 +209,6 @@ runIgraph(const std::string &dataset, const MachineConfig &machineCfg,
     Machine m;
     m.init(cfg);
     m.engine().setCancel(opts.cancel);
-    m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;
     const IgDataset &ds = igDataset(dataset);

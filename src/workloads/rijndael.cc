@@ -299,7 +299,6 @@ runRijndael(const MachineConfig &machineCfg, const WorkloadOptions &opts)
     Machine m;
     m.init(cfg);
     m.engine().setCancel(opts.cancel);
-    m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;
     res.workload = "Rijndael";

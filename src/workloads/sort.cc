@@ -139,7 +139,6 @@ runSort(const MachineConfig &machineCfg, const WorkloadOptions &opts)
     Machine m;
     m.init(cfg);
     m.engine().setCancel(opts.cancel);
-    m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;
     res.workload = "Sort";

@@ -164,7 +164,6 @@ runSpmvCsr(const std::string &name, const CsrMatrix &csr,
     Machine m;
     m.init(cfg);
     m.engine().setCancel(opts.cancel);
-    m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;
     res.workload = name;

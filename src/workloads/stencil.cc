@@ -171,7 +171,6 @@ runStencil(const std::string &name, const MachineConfig &machineCfg,
     Machine m;
     m.init(cfg);
     m.engine().setCancel(opts.cancel);
-    m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;
     res.workload = sh.name;

@@ -72,15 +72,6 @@ struct WorkloadOptions
      * identical with or without a (untripped) token.
      */
     const CancelToken *cancel = nullptr;
-    /**
-     * Mid-job checkpoint/restore context (util/snapshot.h); nullptr =
-     * checkpointing off. Attached to the machine before run() so
-     * StreamProgram::run resumes from the newest valid checkpoint and
-     * saves on the configured cycle cadence. Like `cancel`, not part of
-     * the simulation outcome: a completed run's result is identical
-     * with or without a context.
-     */
-    CheckpointContext *checkpoint = nullptr;
 };
 
 /** Signature of a workload runner. */
@@ -101,7 +92,7 @@ void registerWorkload(const std::string &name, WorkloadRunner runner);
 
 /**
  * All registered workload names, alphabetized — the diagnostic shown
- * when an unknown name reaches a bench driver or the daemon `run` op.
+ * when an unknown name reaches a bench driver.
  */
 std::vector<std::string> workloadNames();
 

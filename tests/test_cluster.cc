@@ -2,8 +2,7 @@
  * @file
  * Tests for the compute-cluster model: invocation metadata, iteration
  * pacing against the schedule, spill-over of wide per-iteration stream
- * work, indexed-data stalls, load imbalance, cycle categorization, and
- * snapshot save/restore of a lane with staged trace ranges.
+ * work, indexed-data stalls, load imbalance and cycle categorization.
  */
 #include <gtest/gtest.h>
 
@@ -378,22 +377,6 @@ storedSpillTables(Machine &m)
     return tables;
 }
 
-/**
- * Step `m` (running spillKernel()) past a third of `cycles` and then
- * until lane 0 holds staged trace entries; false if it never does.
- */
-bool
-stepToStagedWork(Machine &m, uint64_t cycles)
-{
-    m.step(cycles / 3);
-    while (m.kernelActive()) {
-        if (test::laneSnapshot(m, 0).stagedEntries() > 0)
-            return true;
-        m.step();
-    }
-    return false;
-}
-
 TEST(Cluster, SpilledIndexedWritesLandInTraceOrder)
 {
     Machine m;
@@ -408,98 +391,6 @@ TEST(Cluster, SpilledIndexedWritesLandInTraceOrder)
     std::vector<std::vector<Word>> stored = storedSpillTables(m);
     for (uint32_t l = 0; l < m.lanes(); l++)
         EXPECT_EQ(stored[l], expectedSpillTable(*inv, l)) << "lane " << l;
-}
-
-TEST(Cluster, RestoredSpillingLaneContinuesLikeUninterrupted)
-{
-    const MachineConfig cfg = spillConfig();
-    KernelGraph g = spillKernel();
-
-    // Uninterrupted: lane 0's category for every cycle of the kernel.
-    Machine a;
-    a.init(cfg);
-    auto [lut, t] = openSpillSlots(a);
-    const Cycle start = a.now();
-    a.launchKernel(spillInvocation(a, g, lut, t));
-    std::vector<CycleCat> cats;
-    while (a.kernelActive()) {
-        a.step();
-        cats.push_back(a.cluster(0).lastCat());
-        ASSERT_LT(cats.size(), 100000u);
-    }
-
-    // Interrupted while lane 0 holds staged entries.
-    Machine b;
-    b.init(cfg);
-    openSpillSlots(b);
-    b.launchKernel(spillInvocation(b, g, lut, t));
-    ASSERT_TRUE(stepToStagedWork(b, cats.size()));
-    const Cycle saved = b.now();
-    Snapshot snap;
-    b.saveSnapshot(snap);
-
-    Machine c;
-    c.init(cfg);
-    std::string err;
-    ASSERT_TRUE(c.loadSnapshot(snap, spillInvocation(c, g, lut, t), &err))
-        << err;
-    ASSERT_EQ(c.now(), saved);
-    SnapshotWriter before, after;
-    test::laneSnapshot(b, 0).write(before);
-    test::laneSnapshot(c, 0).write(after);
-    EXPECT_EQ(after.data(), before.data());
-
-    std::vector<CycleCat> resumed;
-    while (c.kernelActive()) {
-        c.step();
-        resumed.push_back(c.cluster(0).lastCat());
-        ASSERT_LT(resumed.size(), cats.size());
-    }
-    EXPECT_EQ(resumed, std::vector<CycleCat>(
-                           cats.begin() + (saved - start), cats.end()));
-    EXPECT_EQ(storedSpillTables(c), storedSpillTables(a));
-}
-
-TEST(Cluster, LoadStateRejectsStagedWorkThatIsNotTheTrace)
-{
-    Machine m;
-    m.init(spillConfig());
-    auto [lut, t] = openSpillSlots(m);
-    KernelGraph g = spillKernel();
-    auto inv = spillInvocation(m, g, lut, t);
-    m.launchKernel(inv);
-    ASSERT_TRUE(stepToStagedWork(m, 0));
-    const test::LaneSnapshot good = test::laneSnapshot(m, 0);
-    ASSERT_FALSE(good.stagedIdxWrites[1].empty());
-
-    auto loads = [&](const test::LaneSnapshot &ls) {
-        SnapshotWriter w;
-        ls.write(w);
-        SnapshotReader r(w.data());
-        Cluster c;
-        c.init(0, &m.srf(), nullptr);
-        c.restoreBind(inv.get());
-        return c.loadState(r) && r.atEnd();
-    };
-    EXPECT_TRUE(loads(good));
-
-    test::LaneSnapshot word = good;
-    word.stagedIdxWrites[1].back()[1] ^= 1;  // data[0] of the last entry
-    EXPECT_FALSE(loads(word));
-
-    test::LaneSnapshot count = good;
-    count.idxWriteCur[1] = count.stagedIdxWrites[1].size() - 1;
-    EXPECT_FALSE(loads(count));
-
-    // The cursor may sit at the trace's end, not past it.
-    const size_t traceLen = inv->laneTraces[0].idxWrites[1].size();
-    test::LaneSnapshot atEnd = good;
-    atEnd.stagedIdxWrites[1].clear();
-    atEnd.idxWriteCur[1] = traceLen;
-    EXPECT_TRUE(loads(atEnd));
-    test::LaneSnapshot pastEnd = atEnd;
-    pastEnd.idxWriteCur[1] = traceLen + 1;
-    EXPECT_FALSE(loads(pastEnd));
 }
 
 } // namespace

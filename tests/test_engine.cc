@@ -134,6 +134,37 @@ TEST(EngineCancel, ExpiredDeadlineReportsTimedOut)
     EXPECT_EQ(r.cycles, 0u);
 }
 
+/** Arms an already-due deadline on `token` when it ticks cycle `at`. */
+struct DeadlineArmer : Ticked
+{
+    CancelToken *token = nullptr;
+    Cycle at = 0;
+    void
+    tick(Cycle now) override
+    {
+        if (now == at)
+            token->setTimeout(1e-9);
+    }
+    std::string tickedName() const override { return "armer"; }
+};
+
+TEST(EngineCancel, DeadlineExpiringMidRunIsSeenAtTheNextCheck)
+{
+    // The wall clock is read once per kDeadlineCheckCycles, so a
+    // deadline that expires mid-run stops the run at the next check.
+    Engine e;
+    CancelToken token;
+    DeadlineArmer armer;
+    armer.token = &token;
+    armer.at = 100;
+    e.add(&armer);
+    e.setCancel(&token);
+    RunResult r = e.runUntil([] { return false; },
+                             4 * Engine::kDeadlineCheckCycles);
+    EXPECT_EQ(r.status, RunStatus::TimedOut);
+    EXPECT_EQ(r.cycles, Engine::kDeadlineCheckCycles);
+}
+
 TEST(EngineCancel, CancellationWinsOverDeadline)
 {
     Engine e;

@@ -17,7 +17,6 @@
 #include "core/report.h"
 #include "core/stream_program.h"
 #include "test_helpers.h"
-#include "util/snapshot.h"
 
 namespace isrf {
 namespace {
@@ -258,26 +257,37 @@ runCopyProgram(Machine &m, const std::vector<Word> &data,
 }
 
 /**
- * Load `idx` from DRAM address 0 and run the in-lane lookup kernel
- * over it, every lane holding `table`: out[e] = table[idx[e]].
+ * Load `idx` from DRAM address 0 and run a lookup kernel over it:
+ * out[e] = table[idx[e]]. In-lane, every lane holds `table`; cross-lane,
+ * `table` is one striped stream and idx[e] a global record index.
  * @return the program's cycle count; `out` receives the output stream.
  */
 uint64_t
 runLookupProgram(Machine &m, const std::vector<Word> &idx,
-                 const std::vector<Word> &table, std::vector<Word> *out)
+                 const std::vector<Word> &table, std::vector<Word> *out,
+                 bool crossLane = false)
 {
     m.mem().dram().fill(0, idx);
     StreamProgram prog(m);
     SlotId in = prog.addStream("idx", idx.size());
-    SlotId lut = prog.addStream("lut", table.size(), StreamLayout::PerLane,
-                                StreamDir::In, true);
+    SlotId lut = crossLane
+        ? prog.addStream("lut", table.size(), StreamLayout::Striped,
+                         StreamDir::In, true, true)
+        : prog.addStream("lut", table.size(), StreamLayout::PerLane,
+                         StreamDir::In, true);
     SlotId dst = prog.addStream("out", idx.size());
-    std::vector<Word> tables;
-    for (uint32_t l = 0; l < m.lanes(); l++)
-        tables.insert(tables.end(), table.begin(), table.end());
-    prog.fillStream(lut, tables);
+    if (crossLane) {
+        prog.fillStream(lut, table);
+    } else {
+        std::vector<Word> tables;
+        for (uint32_t l = 0; l < m.lanes(); l++)
+            tables.insert(tables.end(), table.begin(), table.end());
+        prog.fillStream(lut, tables);
+    }
     prog.load(in, 0, m.config().mem.cacheEnabled);
-    static KernelGraph g = test::makeLookupKernel();
+    static KernelGraph inLane = test::makeLookupKernel();
+    static KernelGraph cross = test::makeCrossLookupKernel();
+    const KernelGraph &g = crossLane ? cross : inLane;
     auto inv = std::make_shared<KernelInvocation>();
     inv->graph = &g;
     inv->sched = m.scheduleKernel(g);
@@ -376,36 +386,6 @@ TEST(LazyDram, DefaultMachineInitGrowsResidentSetLittle)
     EXPECT_LT(residentGrowthSince(before), kResidentBound);
     EXPECT_EQ(m.mem().dram().read(cfg.dram.capacityWords - 1), 42u);
     EXPECT_EQ(m.mem().dram().read(cfg.dram.capacityWords / 2), 0u);
-}
-
-TEST(LazyDram, RestoredSnapshotGrowsResidentSetLittle)
-{
-    // Each phase is measured while its machines are alive: freeing a
-    // 64 MB array writes its whole shadow under ASan.
-    MachineConfig cfg = MachineConfig::isrf4();
-    Snapshot snap;
-    {
-        uint64_t before = residentBytes();
-        Machine m;
-        m.init(cfg);
-        std::vector<Word> data = rampData(4096);
-        std::vector<Word> out;
-        runCopyProgram(m, data, &out);
-        ASSERT_EQ(out, data);
-        m.mem().dram().write(cfg.dram.capacityWords - 1, 42);
-        m.saveSnapshot(snap);
-        EXPECT_LT(residentGrowthSince(before), kResidentBound);
-    }
-    uint64_t before = residentBytes();
-    Machine fresh;
-    fresh.init(cfg);
-    std::string err;
-    ASSERT_TRUE(fresh.loadSnapshot(snap, nullptr, &err)) << err;
-    EXPECT_LT(residentGrowthSince(before), kResidentBound);
-    const Dram &d = fresh.mem().dram();
-    EXPECT_EQ(d.dump(0, 4096), rampData(4096));
-    EXPECT_EQ(d.read(cfg.dram.capacityWords - 1), 42u);
-    EXPECT_EQ(d.read(cfg.dram.capacityWords / 2), 0u);
 }
 
 // ----------------------------------------------------------------------
@@ -535,9 +515,11 @@ TEST(MachineConfigFuzzDeathTest, PerturbedPresetsFailValidationOrRunCopy)
     // Every other point breaks one field (each breakage at least
     // once) and must die in validate() naming it; every valid point
     // must run the copy kernel to a correct result, and on an indexed
-    // SRF also the in-lane lookup kernel. One-entry address FIFOs and
-    // one-access stream buffers make lanes stage spilled work. A crash
-    // or hang anywhere is a missing validate() rule or a model bug.
+    // SRF also the in-lane and the cross-lane lookup kernels, one
+    // program after another on the same machine. One-entry address
+    // FIFOs and one-access stream buffers make lanes stage spilled
+    // work. A crash or hang anywhere is a missing validate() rule or a
+    // model bug.
     const std::vector<Breakage> &broken = breakages();
     const size_t points = 4 * broken.size();
     Rng rng(0x15EEDull);
@@ -571,10 +553,21 @@ TEST(MachineConfigFuzzDeathTest, PerturbedPresetsFailValidationOrRunCopy)
         std::vector<Word> want;
         for (Word x : idx)
             want.push_back(table[x]);
-        m.init(cfg);  // the copy program's streams stay allocated
         EXPECT_GT(runLookupProgram(m, idx, table, &out), 0u);
         EXPECT_EQ(out, want);
         EXPECT_EQ(m.srf().idxInLaneWords(), idx.size());
+
+        // Global record indices over a table striped across every
+        // lane, so lookups cross lanes through the index network.
+        std::vector<Word> wide = rampData(2 * cfg.srf.seqAccessWords());
+        want.clear();
+        for (Word &x : idx) {
+            x = static_cast<Word>(rng.below(wide.size()));
+            want.push_back(wide[x]);
+        }
+        EXPECT_GT(runLookupProgram(m, idx, wide, &out, true), 0u);
+        EXPECT_EQ(out, want);
+        EXPECT_EQ(m.srf().idxCrossWords(), idx.size());
     }
 }
 

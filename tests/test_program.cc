@@ -189,6 +189,58 @@ TEST(StreamProgram, SlotsReleasedOnDestruction)
     SUCCEED();  // would die on slot exhaustion if slots leaked
 }
 
+/**
+ * Copy `data` from DRAM address 0 to `dst` through the SRF with one
+ * program. @return the SRF base word of the program's input stream.
+ */
+uint32_t
+copyThroughSrf(Machine &m, const std::vector<Word> &data, uint64_t dst)
+{
+    m.mem().dram().fill(0, data);
+    StreamProgram prog(m);
+    SlotId in = prog.addStream("in", data.size());
+    SlotId out = prog.addStream("out", data.size());
+    prog.load(in, 0);
+    KernelGraph g = test::makeCopyKernel();
+    prog.kernel(test::makeCopyInvocation(m, &g, in, out, data));
+    prog.store(out, dst);
+    prog.run();
+    EXPECT_EQ(prog.lastStatus(), RunStatus::Done);
+    return m.srf().slotConfig(in).base;
+}
+
+TEST(StreamProgram, ProgramsRunBackToBackOnOneMachine)
+{
+    Machine m;
+    m.init(smallConfig());
+    // Each program's two streams fill 3/4 of the 32K-word SRF: the
+    // second fits only if the first returned its words.
+    std::vector<Word> a(12288), b(12288);
+    for (size_t i = 0; i < a.size(); i++) {
+        a[i] = static_cast<Word>(i * 7 + 3);
+        b[i] = static_cast<Word>(i * 5 + 1);
+    }
+    EXPECT_EQ(copyThroughSrf(m, a, 1 << 15), 0u);
+    EXPECT_EQ(m.allocator().usedWords(), 0u);
+    EXPECT_EQ(copyThroughSrf(m, b, 1 << 16), 0u);
+    EXPECT_EQ(m.mem().dram().dump(1 << 15, a.size()), a);
+    EXPECT_EQ(m.mem().dram().dump(1 << 16, b.size()), b);
+}
+
+TEST(StreamProgramDeathTest, OutOfOrderDestructionPanics)
+{
+    Machine m;
+    m.init(smallConfig());
+    auto first = std::make_unique<StreamProgram>(m);
+    auto second = std::make_unique<StreamProgram>(m);
+    first->addStream("a", 64);
+    second->addStream("b", 64);
+    EXPECT_DEATH(first.reset(), "destroyed out of order");
+    second.reset();
+    first.reset();
+    EXPECT_EQ(m.allocator().usedWords(), 0u);
+}
+
 /** Records, at every engine tick, what the driver has issued so far. */
 class IssueProbe : public Ticked
 {
