@@ -253,7 +253,6 @@ struct BenchFlag
  *   --profile <path>         write a host-time profile (Chrome trace /
  *                            speedscope); enables ISRF_PROFILE=on
  *                            unless the environment already set it
- *   --faults <spec>          enable fault injection (ISRF_FAULTS syntax)
  *   --jobs <n>               run independent simulations n-wide
  *   --quiet                  suppress progress output
  *   --journal <path>         append per-job outcomes to a JSONL journal
@@ -265,8 +264,8 @@ struct BenchFlag
  *                            registered names land in
  *                            BenchArgs::datasetWorkloads)
  * --trace enables all channels unless a channel spec (or ISRF_TRACE)
- * already selected some. --faults/--trace-channels/--profile export
- * their specs into the environment so every MachineConfig::fromEnv()
+ * already selected some. --trace-channels/--profile export their
+ * specs into the environment so every MachineConfig::fromEnv()
  * snapshot taken afterwards picks them up. `extra` adds binary-specific
  * flags to the same parse (and to --help). Exits on unknown options.
  */
@@ -304,8 +303,6 @@ parseBenchArgs(int argc, char **argv,
             // shim gates trace merging and does the export.
             setenv("ISRF_TRACE", spec.c_str(), 1);
             Tracer::instance().enableChannels(spec);
-        } else if (s == "--faults") {
-            setenv("ISRF_FAULTS", next(i, "--faults").c_str(), 1);
         } else if (s == "--jobs") {
             std::string v = next(i, "--jobs");
             uint64_t n = 0;
@@ -367,7 +364,6 @@ parseBenchArgs(int argc, char **argv,
             std::printf(
                 "usage: %s [--json <path>] [--trace <path>] "
                 "[--trace-channels <spec>] [--profile <path>] "
-                "[--faults <spec>] "
                 "[--jobs <n>] [--quiet] [--journal <path>] "
                 "[--resume] [--timeout-s <secs>] [--retries <n>] "
                 "[--dataset <file.mtx>]...%s\n",

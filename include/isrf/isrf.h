@@ -7,7 +7,6 @@
  *  - the KernelC-style kernel builder and scheduler (kernel/)
  *  - stream programs (core/stream_program.h)
  *  - the area/energy models (area/)
- *  - fault injection, ECC, and the watchdog (fault/)
  *  - the paper's benchmarks and microbenchmarks (workloads/)
  *
  * Typical use:
@@ -32,10 +31,6 @@
 #include "core/stream.h"
 #include "core/stream_program.h"
 #include "core/report.h"
-#include "fault/ecc.h"
-#include "fault/fault_config.h"
-#include "fault/fault_injector.h"
-#include "fault/watchdog.h"
 #include "kernel/builder.h"
 #include "kernel/schedule_dump.h"
 #include "kernel/scheduler.h"

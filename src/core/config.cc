@@ -59,9 +59,6 @@ MachineConfig &
 MachineConfig::fromEnv()
 {
     std::vector<std::string> errs;
-    std::string faultsSpec = envStr("ISRF_FAULTS");
-    if (!faultsSpec.empty())
-        faults = FaultConfig::parse(faultsSpec);
     statSampleInterval = envU64("ISRF_SAMPLE", statSampleInterval, &errs);
     std::string traceEnv = envStr("ISRF_TRACE");
     if (!traceEnv.empty())

@@ -7,7 +7,6 @@
 
 #include <string>
 
-#include "fault/fault_config.h"
 #include "kernel/scheduler.h"
 #include "mem/cache.h"
 #include "mem/dram.h"
@@ -83,13 +82,6 @@ struct MachineConfig
     uint64_t seed = 1;
 
     /**
-     * Fault-injection / ECC / degradation model (disabled by default).
-     * fromEnv() overlays ISRF_FAULTS here; see FaultConfig::parse for
-     * the spec syntax.
-     */
-    FaultConfig faults;
-
-    /**
      * Channel spec for the machine's own event tracer (sim/trace.h
      * ISRF_TRACE syntax; "" = tracing off). fromEnv() overlays
      * ISRF_TRACE here.
@@ -121,15 +113,13 @@ struct MachineConfig
     static MachineConfig cacheCfg() { return make(MachineKind::Cache); }
 
     /**
-     * Overlay the ISRF_* environment overrides (ISRF_FAULTS,
-     * ISRF_SAMPLE, ISRF_TRACE, ISRF_TRACE_CAPACITY, ISRF_PROFILE)
-     * onto this config and return it. This is
-     * the ONE place the environment is consulted: Machine::init reads
-     * only the config it is handed, so machines built in the same
-     * process can never observe each other's configuration. Malformed numeric values are collected
-     * and reported in a single warning, then defaulted (a bad
-     * ISRF_FAULTS spec is still a user error and fatal()s, as
-     * before).
+     * Overlay the ISRF_* environment overrides (ISRF_SAMPLE,
+     * ISRF_TRACE, ISRF_TRACE_CAPACITY, ISRF_PROFILE) onto this config
+     * and return it. This is the ONE place the environment is
+     * consulted: Machine::init reads only the config it is handed, so
+     * machines built in the same process can never observe each
+     * other's configuration. Malformed numeric values are collected
+     * and reported in a single warning, then defaulted.
      */
     MachineConfig &fromEnv();
 

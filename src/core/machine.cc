@@ -11,8 +11,8 @@ Machine::init(const MachineConfig &cfg)
     cfg_ = cfg;
     // Re-initialization safety: drop every engine registration first.
     // A second init() used to leave the engine holding dangling
-    // pointers to the watchdog/sampler destroyed below (and a stale
-    // clock); clear() is the one sanctioned way to rebuild.
+    // pointers to the sampler destroyed below (and a stale clock);
+    // clear() is the one sanctioned way to rebuild.
     engine_.clear();
     active_.reset();
     activeOutputs_.clear();
@@ -45,52 +45,9 @@ Machine::init(const MachineConfig &cfg)
     rng_.reseed(cfg.seed * 7919 + 13);
     engine_.add(this);
     traceCh_ = tracer_.channel("machine");
-    initFaults();
     initSampler();
     breakdown_.reset();
     kernelBw_.clear();
-}
-
-void
-Machine::initFaults()
-{
-    const FaultConfig &fc = cfg_.faults;
-    faultsEnabled_ = fc.enabled;
-    injector_.reset();
-    watchdog_.reset();
-    if (fc.enabled) {
-        srf_.setDegradeThreshold(fc.degradeThreshold);
-        mem_.setFaultConfig(fc);
-        injector_ = std::make_unique<FaultInjector>();
-        injector_->init(fc, cfg_.seed, &srf_, &mem_, &dataNet_,
-                        &tracer_);
-    }
-    if (fc.watchdogInterval > 0) {
-        watchdog_ = std::make_unique<Watchdog>();
-        // Progress = any retired work: SRF words moved, DRAM words
-        // transferred, or cluster loop-body cycles executed.
-        watchdog_->init(fc.watchdogInterval, fc.watchdogStallIntervals,
-            [this]() {
-                return srf_.seqWordsAccessed() + srf_.idxInLaneWords() +
-                    srf_.idxCrossWords() + mem_.dram().wordsTransferred() +
-                    breakdown_.loopBody;
-            },
-            &tracer_, cfg_.name());
-        engine_.add(watchdog_.get());
-    }
-}
-
-uint64_t
-Machine::scrubFaults()
-{
-    return srf_.scrubFaults() + mem_.dram().scrubEcc();
-}
-
-void
-Machine::syncFaultStats()
-{
-    srf_.syncFaultStats();
-    mem_.syncFaultStats();
 }
 
 void
@@ -105,8 +62,6 @@ Machine::initSampler()
     sampler_->setTracer(&tracer_);
     sampler_->addGroup(&srf_.stats());
     sampler_->addGroup(&mem_.stats());
-    if (injector_)
-        sampler_->addGroup(&injector_->stats());
     sampler_->addCounterFn("dram.words",
         [this]() { return mem_.dram().wordsTransferred(); });
     sampler_->addCounterFn("dram.row_hits",
@@ -240,11 +195,6 @@ Machine::tick(Cycle now)
     Profiler::Scope prof(profiler_, Profiler::MachineTick);
     dataNet_.newCycle();
     srf_.beginCycle(now);
-
-    // Fire scheduled faults after newCycle so injected crossbar stalls
-    // survive into this cycle's arbitration.
-    if (injector_)
-        injector_->inject(now);
 
     // Statically scheduled inter-cluster traffic occupancy (Figure 18).
     if (cfg_.commOccupancy > 0) {

@@ -17,8 +17,6 @@
 #include "core/breakdown.h"
 #include "core/config.h"
 #include "core/stream.h"
-#include "fault/fault_injector.h"
-#include "fault/watchdog.h"
 #include "mem/memory_system.h"
 #include "sim/engine.h"
 #include "sim/profiler.h"
@@ -122,21 +120,14 @@ class Machine : public Ticked
     void step(uint64_t n = 1) { engine_.steps(n); }
 
     /**
-     * Step until pred() or the cycle limit; never panics. When the
-     * watchdog trips before pred() holds, a Limit result is downgraded
-     * to RunStatus::Stalled so callers can distinguish "no forward
-     * progress" from an honest cycle-budget overrun. TimedOut and
-     * Cancelled (from the engine's CancelToken) pass through
-     * unchanged — a wall-clock deadline is a different diagnosis than
-     * a stall, even if the watchdog also fired.
+     * Step until pred() or the cycle limit; never panics. TimedOut and
+     * Cancelled come from the engine's CancelToken.
      */
     RunResult
     runUntil(const std::function<bool()> &pred,
              uint64_t limit = 1ull << 30)
     {
         RunResult r = engine_.runUntil(pred, limit);
-        if (r.status == RunStatus::Limit && watchdogTriggered())
-            r.status = RunStatus::Stalled;
         noteRunStatus(r.status);
         return r;
     }
@@ -165,33 +156,9 @@ class Machine : public Ticked
     StatSampler *sampler() { return sampler_.get(); }
     const StatSampler *sampler() const { return sampler_.get(); }
 
-    // --- fault model (src/fault/, DESIGN.md §Fault model) ---
-
-    /** True when a fault schedule is active (config or ISRF_FAULTS). */
-    bool faultsEnabled() const { return faultsEnabled_; }
-
-    /** Injector; non-null only when faults are enabled. */
-    FaultInjector *faultInjector() { return injector_.get(); }
-    const FaultInjector *faultInjector() const { return injector_.get(); }
-
-    /** Watchdog; non-null only when cfg.faults.watchdogInterval > 0. */
-    Watchdog *watchdog() { return watchdog_.get(); }
-    const Watchdog *watchdog() const { return watchdog_.get(); }
-    bool watchdogTriggered() const
-    {
-        return watchdog_ && watchdog_->triggered();
-    }
-
-    /** Repair all pending correctable faults. @return words repaired. */
-    uint64_t scrubFaults();
-
-    /** Publish SRF/memory fault counters into their stat groups. */
-    void syncFaultStats();
-
   private:
     void finishKernelIfDone(Cycle now);
     void initSampler();
-    void initFaults();
 
     MachineConfig cfg_;
     Tracer tracer_;
@@ -206,9 +173,6 @@ class Machine : public Ticked
     Rng rng_;
 
     std::unique_ptr<StatSampler> sampler_;
-    std::unique_ptr<FaultInjector> injector_;
-    std::unique_ptr<Watchdog> watchdog_;
-    bool faultsEnabled_ = false;
     RunStatus lastRunStatus_ = RunStatus::Done;
 
     std::shared_ptr<KernelInvocation> active_;

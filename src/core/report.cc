@@ -102,31 +102,6 @@ machineReport(Machine &m, const ReportOptions &opts)
         out << "energy: " << e.summary() << "\n";
     }
 
-    if (cfg.faults.enabled) {
-        m.syncFaultStats();
-        out << strprintf(
-            "fault: injected=%llu ecc_corrected=%llu "
-            "ecc_uncorrectable=%llu retries=%llu poisoned=%llu "
-            "degraded_subarrays=%llu\n",
-            static_cast<unsigned long long>(m.srf().faultsInjected() +
-                m.mem().dram().ecc().faultsInjected()),
-            static_cast<unsigned long long>(m.srf().eccCorrected() +
-                m.mem().dram().ecc().corrected()),
-            static_cast<unsigned long long>(m.srf().eccUncorrectable() +
-                m.mem().dram().ecc().uncorrectable()),
-            static_cast<unsigned long long>(m.mem().retries()),
-            static_cast<unsigned long long>(m.mem().poisonedWords()),
-            static_cast<unsigned long long>(m.srf().offlineSubArrays()));
-        if (m.faultInjector()) {
-            for (const auto &row : m.faultInjector()->stats().formatRows())
-                out << "  " << row << "\n";
-        }
-        if (m.watchdogTriggered()) {
-            out << "watchdog: TRIGGERED at cycle "
-                << m.watchdog()->triggeredCycle() << "\n";
-        }
-    }
-
     // Host-time profile: present only on profiled machines, so
     // unprofiled reports are byte-identical with profiling compiled in.
     if (m.profiler().enabled() && m.profiler().hasData()) {
@@ -261,31 +236,6 @@ machineReportJson(Machine &m, const ReportOptions &opts)
         w.field("cache_nj", e.cacheNj);
         w.field("dram_nj", e.dramNj);
         w.field("total_nj", e.totalNj());
-        w.endObject();
-    }
-
-    if (cfg.faults.enabled) {
-        m.syncFaultStats();
-        w.key("fault").beginObject();
-        w.field("faults_injected", m.srf().faultsInjected() +
-            m.mem().dram().ecc().faultsInjected());
-        w.field("ecc_corrected", m.srf().eccCorrected() +
-            m.mem().dram().ecc().corrected());
-        w.field("ecc_detected_uncorrectable", m.srf().eccUncorrectable() +
-            m.mem().dram().ecc().uncorrectable());
-        w.field("retries", m.mem().retries());
-        w.field("poisoned_words", m.mem().poisonedWords());
-        w.field("dropped_words", m.mem().droppedWords());
-        w.field("degraded_subarrays",
-                static_cast<uint64_t>(m.srf().offlineSubArrays()));
-        if (m.faultInjector()) {
-            w.key("injected").beginObject();
-            for (const auto &kv : m.faultInjector()->stats().counters())
-                w.field(kv.first, kv.second.value());
-            w.endObject();
-        }
-        if (m.watchdog())
-            w.key("watchdog").raw(m.watchdog()->reportJson());
         w.endObject();
     }
 

@@ -362,16 +362,6 @@ StreamProgram::run(uint64_t maxCycles)
         if (completedOps_ == ops_.size() && machine_.mem().idle() &&
                 !machine_.kernelActive())
             break;
-        // Watchdog trip: stop gracefully with the cycles spent so far;
-        // the caller inspects Machine::watchdogTriggered() for the
-        // structured diagnostic instead of getting an abort().
-        if (machine_.watchdogTriggered()) {
-            ISRF_WARN("StreamProgram::run: watchdog tripped at cycle "
-                      "%llu; stopping",
-                      static_cast<unsigned long long>(cycles));
-            status_ = RunStatus::Stalled;
-            break;
-        }
         // Cooperative cancellation/deadline (Engine::setCancel): the
         // same check points as Engine::runUntil — between steps, after
         // the completion test, so a finished program is never reported

@@ -124,8 +124,8 @@ class StreamProgram
 
     /**
      * Run to completion (all ops done, memory system idle), or until
-     * the machine's watchdog trips or the engine's CancelToken (see
-     * Engine::setCancel) requests cancellation / expires its deadline.
+     * the engine's CancelToken (see Engine::setCancel) requests
+     * cancellation / expires its deadline.
      * How the run ended is reported by lastStatus(); non-Done runs
      * leave the machine at a consistent cycle boundary.
      * @return total machine cycles elapsed during this call.
@@ -133,8 +133,8 @@ class StreamProgram
     uint64_t run(uint64_t maxCycles = 1ull << 30);
 
     /**
-     * How the most recent run() ended: Done, Stalled (watchdog),
-     * TimedOut (deadline) or Cancelled. Done before any run().
+     * How the most recent run() ended: Done, TimedOut (deadline) or
+     * Cancelled. Done before any run().
      */
     RunStatus lastStatus() const { return status_; }
 

@@ -159,27 +159,19 @@ canonicalJob(const SweepJob &job)
     addU("statSampleInterval", 0);
     addU("seed", c.seed);
 
-    const FaultConfig &f = c.faults;
-    addU("faults.enabled", f.enabled ? 1 : 0);
-    addU("faults.seed", f.seed);
-    addU("faults.eccEnabled", f.eccEnabled ? 1 : 0);
-    addU("faults.retryLimit", f.retryLimit);
-    addU("faults.retryBackoffBase", f.retryBackoffBase);
-    addU("faults.opTimeoutCycles", f.opTimeoutCycles);
-    addU("faults.degradeThreshold", f.degradeThreshold);
-    addU("faults.watchdogInterval", f.watchdogInterval);
-    addU("faults.watchdogStallIntervals", f.watchdogStallIntervals);
-    addU("faults.schedule.size", f.schedule.size());
-    for (const FaultScheduleEntry &e : f.schedule) {
-        addU("fault.kind", static_cast<uint64_t>(e.kind));
-        addU("fault.start", e.start);
-        addU("fault.period", e.period);
-        addU("fault.count", e.count);
-        addU("fault.bits", e.bits);
-        addU("fault.delayCycles", e.delayCycles);
-        addU("fault.maxAddr", e.maxAddr);
-        addU("fault.transient", e.transient ? 1 : 0);
-    }
+    // The fault model was removed after journals containing these
+    // keys already existed: they stay, pinned to the values every
+    // such journal was written with, so fingerprints are unchanged.
+    addU("faults.enabled", 0);
+    addU("faults.seed", 0);
+    addU("faults.eccEnabled", 1);
+    addU("faults.retryLimit", 4);
+    addU("faults.retryBackoffBase", 4);
+    addU("faults.opTimeoutCycles", 0);
+    addU("faults.degradeThreshold", 8);
+    addU("faults.watchdogInterval", 0);
+    addU("faults.watchdogStallIntervals", 4);
+    addU("faults.schedule.size", 0);
 
     addU("opts.repeats", job.opts.repeats);
     addU("opts.seed", job.opts.seed);

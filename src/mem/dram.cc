@@ -21,7 +21,6 @@ Dram::init(const DramConfig &cfg, Tracer *tracer)
     // A fresh array, never clear()+resize(): that would keep the old
     // pages and their words.
     mem_ = decltype(mem_)(cfg.capacityWords);
-    ecc_.clear();
     openRow_.assign(cfg.banks, -1);
     tokens_ = 0;
     now_ = 0;
@@ -38,29 +37,7 @@ Dram::read(uint64_t wordAddr) const
     if (wordAddr >= mem_.size())
         panic("Dram::read: address %llu out of range",
               static_cast<unsigned long long>(wordAddr));
-    // Scrub-on-read: single-bit faults are corrected in place
-    // (logically const), multi-bit faults stay visible as corrupt data.
-    if (!ecc_.empty())
-        ecc_.check(wordAddr, &mem_[wordAddr]);
     return mem_[wordAddr];
-}
-
-Word
-Dram::readChecked(uint64_t wordAddr, EccStatus *status)
-{
-    if (wordAddr >= mem_.size())
-        panic("Dram::readChecked: address %llu out of range",
-              static_cast<unsigned long long>(wordAddr));
-    if (ecc_.empty()) {
-        *status = EccStatus::Clean;
-        return mem_[wordAddr];
-    }
-    // A transient uncorrectable fault repairs the cell but this read
-    // still observes the corrupted value — keep the pre-decode word.
-    Word observed = mem_[wordAddr];
-    *status = ecc_.check(wordAddr, &mem_[wordAddr]);
-    return *status == EccStatus::Uncorrectable ? observed
-                                               : mem_[wordAddr];
 }
 
 void
@@ -69,8 +46,6 @@ Dram::write(uint64_t wordAddr, Word w)
     if (wordAddr >= mem_.size())
         panic("Dram::write: address %llu out of range",
               static_cast<unsigned long long>(wordAddr));
-    if (!ecc_.empty())
-        ecc_.onWrite(wordAddr);
     mem_[wordAddr] = w;
 }
 
@@ -80,7 +55,6 @@ Dram::fill(uint64_t wordAddr, const std::vector<Word> &data)
     if (data.size() > mem_.size() ||
         wordAddr > mem_.size() - data.size())
         panic("Dram::fill: range out of bounds");
-    ecc_.onWriteRange(wordAddr, data.size());
     std::copy(data.begin(), data.end(), mem_.begin() + wordAddr);
 }
 
@@ -89,33 +63,8 @@ Dram::dump(uint64_t wordAddr, uint64_t n) const
 {
     if (n > mem_.size() || wordAddr > mem_.size() - n)
         panic("Dram::dump: range out of bounds");
-    if (!ecc_.empty()) {
-        // Route through the decoder so validation sees corrected data.
-        std::vector<Word> out;
-        out.reserve(n);
-        for (uint64_t i = 0; i < n; i++)
-            out.push_back(read(wordAddr + i));
-        return out;
-    }
     return std::vector<Word>(mem_.begin() + wordAddr,
                              mem_.begin() + wordAddr + n);
-}
-
-void
-Dram::injectBitFlips(uint64_t wordAddr, Word mask, bool transient)
-{
-    if (wordAddr >= mem_.size())
-        panic("Dram::injectBitFlips: address %llu out of range",
-              static_cast<unsigned long long>(wordAddr));
-    ecc_.inject(wordAddr, mask, transient, &mem_[wordAddr]);
-}
-
-uint64_t
-Dram::scrubEcc()
-{
-    if (ecc_.empty())
-        return 0;
-    return ecc_.scrub([this](uint64_t addr) { return &mem_[addr]; });
 }
 
 void

@@ -19,7 +19,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "fault/ecc.h"
 #include "sim/ticked.h"
 #include "util/stats.h"
 
@@ -127,23 +126,6 @@ class Dram
     std::vector<Word> dump(uint64_t wordAddr, uint64_t n) const;
     uint64_t capacityWords() const { return cfg_.capacityWords; }
 
-    // --- fault model (src/fault/, DESIGN.md §Fault model) ---
-
-    /**
-     * ECC-decoded read: corrects single-bit faults like read(), but
-     * also reports the decode status so the memory system can retry
-     * detected-uncorrectable words.
-     */
-    Word readChecked(uint64_t wordAddr, EccStatus *status);
-
-    /** Flip bits at wordAddr, recorded for the SECDED decoder. */
-    void injectBitFlips(uint64_t wordAddr, Word mask, bool transient);
-
-    /** Background-scrub all pending faults. @return words repaired. */
-    uint64_t scrubEcc();
-
-    const EccDomain &ecc() const { return ecc_; }
-
     // --- timing ---
     /** Accrue this cycle's bandwidth tokens. */
     void tick();
@@ -194,9 +176,7 @@ class Dram
 
   private:
     DramConfig cfg_;
-    /** mutable: read() scrubs corrected words back in place. */
-    mutable std::vector<Word, ZeroPageAllocator<Word>> mem_;
-    mutable EccDomain ecc_;
+    std::vector<Word, ZeroPageAllocator<Word>> mem_;
     std::vector<int64_t> openRow_;
     double tokens_ = 0;
     Cycle now_ = 0;  ///< cycles ticked (trace timestamps)

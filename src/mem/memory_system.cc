@@ -125,77 +125,12 @@ MemorySystem::tick(Cycle now)
         if (wasBusy && !units_[u].busy()) {
             lastCompletion_ = now;
             stats_.counter("ops_completed").inc();
-            if (units_[u].opPoisoned())
-                stats_.counter("ops_poisoned").inc();
             if (trc_->on()) {
                 trc_->instant(traceCh_, "op_done", now,
                     static_cast<uint64_t>(unitOpId_[u]));
             }
         }
     }
-}
-
-void
-MemorySystem::setFaultConfig(const FaultConfig &fc)
-{
-    for (auto &u : units_)
-        u.setFaultConfig(fc);
-}
-
-bool
-MemorySystem::injectDrop()
-{
-    for (auto &u : units_)
-        if (u.injectDrop())
-            return true;
-    return false;
-}
-
-void
-MemorySystem::injectDelay(uint32_t cycles)
-{
-    for (auto &u : units_)
-        if (u.busy())
-            u.injectDelay(cycles);
-}
-
-uint64_t
-MemorySystem::retries() const
-{
-    uint64_t n = 0;
-    for (const auto &u : units_)
-        n += u.retries();
-    return n;
-}
-
-uint64_t
-MemorySystem::poisonedWords() const
-{
-    uint64_t n = 0;
-    for (const auto &u : units_)
-        n += u.poisonedWords();
-    return n;
-}
-
-uint64_t
-MemorySystem::droppedWords() const
-{
-    uint64_t n = 0;
-    for (const auto &u : units_)
-        n += u.droppedWords();
-    return n;
-}
-
-void
-MemorySystem::syncFaultStats()
-{
-    stats_.counter("retries").set(retries());
-    stats_.counter("poisoned_words").set(poisonedWords());
-    stats_.counter("dropped_words").set(droppedWords());
-    stats_.counter("ecc_corrected").set(dram_.ecc().corrected());
-    stats_.counter("ecc_detected_uncorrectable")
-        .set(dram_.ecc().uncorrectable());
-    stats_.counter("faults_injected").set(dram_.ecc().faultsInjected());
 }
 
 } // namespace isrf

@@ -68,24 +68,6 @@ class MemorySystem
 
     StatGroup &stats() { return stats_; }
 
-    // --- fault model (src/fault/, DESIGN.md §Fault model) ---
-
-    /** Apply the retry/timeout policy to every stream memory unit. */
-    void setFaultConfig(const FaultConfig &fc);
-
-    /** Drop one in-flight load word (first unit that has one). */
-    bool injectDrop();
-
-    /** Stall every busy unit for `cycles`. */
-    void injectDelay(uint32_t cycles);
-
-    uint64_t retries() const;
-    uint64_t poisonedWords() const;
-    uint64_t droppedWords() const;
-
-    /** Publish fault/ECC counters into this group's stats. */
-    void syncFaultStats();
-
   private:
     struct Pending
     {

@@ -18,7 +18,6 @@ StreamMemUnit::init(Dram *dram, Cache *cache, Srf *srf,
     stagingCap_ = stagingWords;
     if (cache_)
         cacheTraceCh_ = trc_->channel("cache");
-    faultTraceCh_ = trc_->channel("fault");
 }
 
 void
@@ -36,9 +35,6 @@ StreamMemUnit::start(const MemOp &op, Cycle now)
     dramCursor_ = 0;
     srfCursor_ = 0;
     staging_.clear();
-    retriesThisWord_ = 0;
-    retryNotBefore_ = 0;
-    opPoisoned_ = false;
 
     // Gathers/scatters over a small footprint (e.g. lookup tables) hit
     // open DRAM rows after the memory system's access reordering and
@@ -137,49 +133,6 @@ StreamMemUnit::payWordCost(uint64_t memAddr, bool isWrite, MemBandwidth &bw)
     return true;
 }
 
-bool
-StreamMemUnit::readWithRetry(uint64_t addr, Word *out)
-{
-    if (!faults_.enabled || !faults_.eccEnabled) {
-        *out = dram_->read(addr);
-        return true;
-    }
-    EccStatus st;
-    Word w = dram_->readChecked(addr, &st);
-    if (st != EccStatus::Uncorrectable) {
-        retriesThisWord_ = 0;
-        *out = w;
-        return true;
-    }
-    bool timedOut = faults_.opTimeoutCycles &&
-        curCycle_ >= startCycle_ + faults_.opTimeoutCycles;
-    if (retriesThisWord_ < faults_.retryLimit && !timedOut) {
-        // Re-issue the word after a bounded exponential backoff.
-        retriesThisWord_++;
-        retries_++;
-        retryNotBefore_ = curCycle_ +
-            (static_cast<Cycle>(faults_.retryBackoffBase)
-             << (retriesThisWord_ - 1));
-        if (trc_->on())
-            trc_->instant(faultTraceCh_, "mem_retry",
-                                       curCycle_, addr);
-        return false;
-    }
-    // Retries (or the op's retry budget) exhausted: complete the word
-    // with a poison marker instead of aborting the run.
-    retriesThisWord_ = 0;
-    poisonedWords_++;
-    opPoisoned_ = true;
-    ISRF_WARN("StreamMemUnit: uncorrectable DRAM word at %llu after %u "
-              "retries; poisoning",
-              static_cast<unsigned long long>(addr), faults_.retryLimit);
-    if (trc_->on())
-        trc_->instant(faultTraceCh_, "mem_poison",
-                                   curCycle_, addr);
-    *out = kPoisonWord;
-    return true;
-}
-
 void
 StreamMemUnit::tickLoadSide(MemBandwidth &bw)
 {
@@ -187,14 +140,11 @@ StreamMemUnit::tickLoadSide(MemBandwidth &bw)
     uint64_t total = totalWords();
     uint32_t moved = 0;
     while (dramCursor_ < total && staging_.size() < stagingCap_ &&
-           moved < 16 && curCycle_ >= retryNotBefore_) {
+           moved < 16) {
         uint64_t addr = memAddrOf(dramCursor_);
         if (!payWordCost(addr, false, bw))
             break;
-        Word w;
-        if (!readWithRetry(addr, &w))
-            break;
-        staging_.push_back(w);
+        staging_.push_back(dram_->read(addr));
         dramCursor_++;
         moved++;
     }
@@ -247,42 +197,11 @@ StreamMemUnit::tickStoreSide(MemBandwidth &bw)
     }
 }
 
-bool
-StreamMemUnit::injectDrop()
-{
-    // Model a word lost between DRAM and the staging buffer: the most
-    // recently fetched load word vanishes and its fetch is re-issued.
-    bool loadSide = op_.kind == MemOpKind::Load ||
-        op_.kind == MemOpKind::Gather;
-    if (!busy_ || !loadSide || staging_.empty())
-        return false;
-    staging_.pop_back();
-    dramCursor_--;
-    droppedWords_++;
-    if (trc_->on())
-        trc_->instant(faultTraceCh_, "mem_drop", curCycle_,
-                                   dramCursor_);
-    return true;
-}
-
-void
-StreamMemUnit::injectDelay(uint32_t cycles)
-{
-    Cycle until = curCycle_ + cycles;
-    if (until > stallUntil_) {
-        delayedCycles_ += until - std::max(curCycle_, stallUntil_);
-        stallUntil_ = until;
-    }
-}
-
 void
 StreamMemUnit::tick(Cycle now, MemBandwidth &bw)
 {
     curCycle_ = now;
     if (!busy_)
-        return;
-    // Injected timing fault: the unit sits out these cycles.
-    if (now < stallUntil_)
         return;
     // Fixed access latency before the first data word moves.
     if (now < startCycle_ + dram_->accessLatency())

@@ -15,7 +15,6 @@
 #include <deque>
 #include <vector>
 
-#include "fault/fault_config.h"
 #include "mem/cache.h"
 #include "mem/dram.h"
 #include "srf/srf.h"
@@ -75,28 +74,6 @@ class StreamMemUnit
     /** Words moved on the DRAM side so far (progress/debug). */
     uint64_t dramWordsDone() const { return dramCursor_; }
 
-    // --- fault model (src/fault/, DESIGN.md §Fault model) ---
-
-    /** Retry/timeout policy for detected-uncorrectable reads. */
-    void setFaultConfig(const FaultConfig &fc) { faults_ = fc; }
-
-    /**
-     * Drop the most recently fetched in-flight load word (it will be
-     * re-fetched, paying DRAM bandwidth again). @return false if the
-     * unit has nothing droppable this cycle.
-     */
-    bool injectDrop();
-
-    /** Stall this unit for `cycles` starting now. */
-    void injectDelay(uint32_t cycles);
-
-    uint64_t retries() const { return retries_; }
-    uint64_t poisonedWords() const { return poisonedWords_; }
-    uint64_t droppedWords() const { return droppedWords_; }
-    uint64_t delayedCycles() const { return delayedCycles_; }
-    /** True if the current/last op completed with poisoned words. */
-    bool opPoisoned() const { return opPoisoned_; }
-
   private:
     /** Total words this op moves. */
     uint64_t totalWords() const;
@@ -113,13 +90,6 @@ class StreamMemUnit
     void tickLoadSide(MemBandwidth &bw);
     void tickStoreSide(MemBandwidth &bw);
 
-    /**
-     * ECC-decode one load word with bounded-backoff retries.
-     * @return false if the word must be retried later (backoff armed).
-     * On success or retry exhaustion *out holds the data (or poison).
-     */
-    bool readWithRetry(uint64_t addr, Word *out);
-
     Dram *dram_ = nullptr;
     Cache *cache_ = nullptr;
     Srf *srf_ = nullptr;
@@ -135,17 +105,6 @@ class StreamMemUnit
     uint64_t dramCursor_ = 0;  ///< stream words done on the DRAM side
     uint64_t srfCursor_ = 0;   ///< stream words done on the SRF side
     std::deque<Word> staging_;
-
-    FaultConfig faults_;       ///< retry policy (enabled=false: no-op)
-    uint32_t retriesThisWord_ = 0;
-    Cycle retryNotBefore_ = 0; ///< exponential-backoff gate
-    Cycle stallUntil_ = 0;     ///< injected delay gate
-    bool opPoisoned_ = false;
-    uint64_t retries_ = 0;
-    uint64_t poisonedWords_ = 0;
-    uint64_t droppedWords_ = 0;
-    uint64_t delayedCycles_ = 0;
-    uint16_t faultTraceCh_ = 0;
 };
 
 } // namespace isrf

@@ -21,7 +21,7 @@ class Tracer;
 enum class RunStatus : uint8_t {
     Done,       ///< the predicate was satisfied
     Limit,      ///< the cycle limit was hit (likely a model deadlock)
-    Stalled,    ///< a progress watchdog tripped (see fault/watchdog.h)
+    Stalled,    ///< job-level: ended without finishing (bench_sweep hang)
     TimedOut,   ///< a CancelToken wall-clock deadline expired
     Cancelled,  ///< a CancelToken cancellation request was observed
     Failed,     ///< job-level only: the workload threw (never from Engine)
@@ -135,8 +135,8 @@ class Engine
     /**
      * Unregister every component and reset the clock to zero. The one
      * sanctioned way to rebuild a machine on the same engine: clearing
-     * both together keeps interval components (watchdog, StatSampler)
-     * that latch absolute cycle numbers in sync with the clock.
+     * both together keeps interval components (StatSampler) that
+     * latch absolute cycle numbers in sync with the clock.
      */
     void clear();
 
@@ -214,8 +214,8 @@ class Engine
 
     // resetClock() was removed: it reset now_ without resetting the
     // components, silently desynchronizing anything that latches
-    // absolute cycle numbers (watchdog checks, sampler boundaries,
-    // fault schedules). Use clear() and re-register instead.
+    // absolute cycle numbers (sampler boundaries). Use clear() and
+    // re-register instead.
 
     size_t componentCount() const { return components_.size(); }
 

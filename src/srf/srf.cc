@@ -973,86 +973,4 @@ Srf::maxRemoteQueueDepth() const
     return static_cast<uint32_t>(n);
 }
 
-// ----------------------------------------------------------------------
-// Fault model
-// ----------------------------------------------------------------------
-
-void
-Srf::injectBitFlips(uint32_t lane, uint32_t laneAddr, Word mask,
-                    bool transient)
-{
-    if (lane >= banks_.size())
-        panic("Srf::injectBitFlips: bad lane %u", lane);
-    banks_[lane].injectBitFlips(laneAddr, mask, transient);
-}
-
-void
-Srf::setDegradeThreshold(uint32_t threshold)
-{
-    for (auto &b : banks_)
-        b.setDegradeThreshold(threshold);
-}
-
-void
-Srf::setSubArrayOffline(uint32_t lane, uint32_t sub, bool offline)
-{
-    if (lane >= banks_.size())
-        panic("Srf::setSubArrayOffline: bad lane %u", lane);
-    banks_[lane].setSubArrayOffline(sub, offline);
-}
-
-uint32_t
-Srf::offlineSubArrays() const
-{
-    uint32_t n = 0;
-    for (const auto &b : banks_)
-        n += b.offlineSubArrays();
-    return n;
-}
-
-uint64_t
-Srf::scrubFaults()
-{
-    uint64_t repaired = 0;
-    for (auto &b : banks_)
-        repaired += b.scrubEcc();
-    return repaired;
-}
-
-uint64_t
-Srf::eccCorrected() const
-{
-    uint64_t n = 0;
-    for (const auto &b : banks_)
-        n += b.ecc().corrected();
-    return n;
-}
-
-uint64_t
-Srf::eccUncorrectable() const
-{
-    uint64_t n = 0;
-    for (const auto &b : banks_)
-        n += b.ecc().uncorrectable();
-    return n;
-}
-
-uint64_t
-Srf::faultsInjected() const
-{
-    uint64_t n = 0;
-    for (const auto &b : banks_)
-        n += b.ecc().faultsInjected();
-    return n;
-}
-
-void
-Srf::syncFaultStats()
-{
-    stats_.counter("ecc_corrected").set(eccCorrected());
-    stats_.counter("ecc_detected_uncorrectable").set(eccUncorrectable());
-    stats_.counter("faults_injected").set(faultsInjected());
-    stats_.counter("degraded_subarrays").set(offlineSubArrays());
-}
-
 } // namespace isrf

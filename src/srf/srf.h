@@ -235,34 +235,6 @@ class Srf
     /** Deepest per-bank cross-lane request queue right now (gauge). */
     uint32_t maxRemoteQueueDepth() const;
 
-    // ------------------------------------------------------------------
-    // Fault model (src/fault/, DESIGN.md §Fault model)
-    // ------------------------------------------------------------------
-
-    /** Flip storage bits in one bank, recorded for SECDED decode. */
-    void injectBitFlips(uint32_t lane, uint32_t laneAddr, Word mask,
-                        bool transient);
-
-    /** Per-bank uncorrectable threshold for degradation (0 = off). */
-    void setDegradeThreshold(uint32_t threshold);
-
-    /** Manually force a sub-array offline/online in every relevant
-     *  bank (bench/test control; lane-local). */
-    void setSubArrayOffline(uint32_t lane, uint32_t sub, bool offline);
-
-    /** Offline sub-arrays summed over all banks. */
-    uint32_t offlineSubArrays() const;
-
-    /** Background-scrub all banks. @return words repaired. */
-    uint64_t scrubFaults();
-
-    uint64_t eccCorrected() const;
-    uint64_t eccUncorrectable() const;
-    uint64_t faultsInjected() const;
-
-    /** Publish the fault counters into this group's stats. */
-    void syncFaultStats();
-
   private:
     struct LaneSlotState
     {

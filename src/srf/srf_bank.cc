@@ -14,10 +14,6 @@ SrfBank::init(const SrfGeometry &geom, uint32_t laneId)
     subArrays_.assign(geom.subArrays, SubArray());
     remoteQueue_.clear();
     portsDirty_ = true;  // fresh sub-arrays: force one clean reset
-    ecc_.clear();
-    offline_.assign(geom.subArrays, 0);
-    subUncorrectable_.assign(geom.subArrays, 0);
-    onlineCount_ = geom.subArrays;
 }
 
 void
@@ -38,29 +34,7 @@ SrfBank::read(uint32_t addr) const
     if (addr >= words_.size())
         panic("SrfBank[%u]::read: address %u out of range (%zu words)",
               laneId_, addr, words_.size());
-    if (ecc_.empty())
-        return words_[addr];
-    // SECDED decode on every read: single-bit faults are corrected and
-    // scrubbed back into storage (logically const); multi-bit faults
-    // are detected, counted against the owning sub-array, and the read
-    // observes the corrupted word.
-    Word observed = words_[addr];
-    EccStatus st = ecc_.check(addr, &words_[addr]);
-    if (st != EccStatus::Uncorrectable)
-        return words_[addr];
-    uint32_t sub = geom_.subArrayOf(addr);
-    subUncorrectable_[sub]++;
-    if (degradeThreshold_ && !offline_[sub] &&
-            subUncorrectable_[sub] >= degradeThreshold_ &&
-            onlineCount_ > 1) {
-        offline_[sub] = 1;
-        onlineCount_--;
-        ISRF_WARN("SRF bank %u: sub-array %u offline after %u "
-                  "uncorrectable errors (%u/%u remain online)",
-                  laneId_, sub, subUncorrectable_[sub], onlineCount_,
-                  geom_.subArrays);
-    }
-    return observed;
+    return words_[addr];
 }
 
 void
@@ -69,8 +43,6 @@ SrfBank::write(uint32_t addr, Word w)
     if (addr >= words_.size())
         panic("SrfBank[%u]::write: address %u out of range (%zu words)",
               laneId_, addr, words_.size());
-    if (!ecc_.empty())
-        ecc_.onWrite(addr);
     words_[addr] = w;
 }
 
@@ -81,7 +53,7 @@ SrfBank::claimSequentialRow(uint32_t addr)
         panic("SrfBank[%u]: unaligned sequential row address %u", laneId_,
               addr);
     portsDirty_ = true;
-    return subArrays_[portFor(addr)].claimSequential();
+    return subArrays_[geom_.subArrayOf(addr)].claimSequential();
 }
 
 bool
@@ -90,58 +62,7 @@ SrfBank::claimIndexedWord(uint32_t addr)
     if (addr >= words_.size())
         panic("SrfBank[%u]: indexed address %u out of range", laneId_, addr);
     portsDirty_ = true;
-    return subArrays_[portFor(addr)].claimIndexed();
-}
-
-uint32_t
-SrfBank::portFor(uint32_t addr) const
-{
-    uint32_t sub = geom_.subArrayOf(addr);
-    if (onlineCount_ == geom_.subArrays || !offline_[sub])
-        return sub;
-    for (uint32_t k = 1; k < geom_.subArrays; k++) {
-        uint32_t cand = (sub + k) % geom_.subArrays;
-        if (!offline_[cand])
-            return cand;
-    }
-    return sub;  // unreachable: at least one sub-array stays online
-}
-
-void
-SrfBank::injectBitFlips(uint32_t addr, Word mask, bool transient)
-{
-    if (addr >= words_.size())
-        panic("SrfBank[%u]::injectBitFlips: address %u out of range",
-              laneId_, addr);
-    ecc_.inject(addr, mask, transient, &words_[addr]);
-}
-
-void
-SrfBank::setSubArrayOffline(uint32_t sub, bool offline)
-{
-    if (sub >= geom_.subArrays)
-        panic("SrfBank[%u]: bad sub-array %u", laneId_, sub);
-    if (offline && !offline_[sub] && onlineCount_ <= 1)
-        panic("SrfBank[%u]: cannot take the last online sub-array "
-              "offline", laneId_);
-    if (offline != (offline_[sub] != 0)) {
-        offline_[sub] = offline ? 1 : 0;
-        onlineCount_ += offline ? -1 : 1;
-    }
-}
-
-uint32_t
-SrfBank::offlineSubArrays() const
-{
-    return geom_.subArrays - onlineCount_;
-}
-
-uint64_t
-SrfBank::scrubEcc()
-{
-    if (ecc_.empty())
-        return 0;
-    return ecc_.scrub([this](uint64_t addr) { return &words_[addr]; });
+    return subArrays_[geom_.subArrayOf(addr)].claimIndexed();
 }
 
 uint64_t

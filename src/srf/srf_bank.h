@@ -10,7 +10,6 @@
 #include <deque>
 #include <vector>
 
-#include "fault/ecc.h"
 #include "srf/srf_types.h"
 #include "srf/sub_array.h"
 
@@ -89,53 +88,16 @@ class SrfBank
     uint64_t indexedAccesses() const;
     uint64_t subArrayConflicts() const;
 
-    // --- fault model (see src/fault/, DESIGN.md §Fault model) ---
-
-    /** Flip bits at addr and record them for the SECDED decoder. */
-    void injectBitFlips(uint32_t addr, Word mask, bool transient);
-
-    /**
-     * Uncorrectable-error count before a sub-array is taken offline
-     * (0 = degradation off). At least one sub-array stays online.
-     */
-    void setDegradeThreshold(uint32_t threshold)
-    {
-        degradeThreshold_ = threshold;
-    }
-
-    /** Manually take a sub-array offline/online (bench/test control). */
-    void setSubArrayOffline(uint32_t sub, bool offline);
-    bool subArrayOffline(uint32_t sub) const { return offline_[sub] != 0; }
-    uint32_t offlineSubArrays() const;
-
-    /** Background-scrub all pending faults. @return words repaired. */
-    uint64_t scrubEcc();
-
-    const EccDomain &ecc() const { return ecc_; }
-
   private:
-    /**
-     * Physical sub-array serving addr: the geometric owner, or — once
-     * that sub-array is offline — the next surviving one, which then
-     * absorbs the extra port pressure (graceful degradation).
-     */
-    uint32_t portFor(uint32_t addr) const;
-
     SrfGeometry geom_;
     uint32_t laneId_ = 0;
     uint32_t remoteDepth_ = 4;
     /** Any sub-array port possibly claimed since the last newCycle(). */
     bool portsDirty_ = false;
-    /** mutable: read() scrubs corrected words back in place. */
-    mutable std::vector<Word> words_;
+    std::vector<Word> words_;
     std::vector<SubArray> subArrays_;
     std::deque<RemoteRequest> remoteQueue_;
 
-    mutable EccDomain ecc_;
-    uint32_t degradeThreshold_ = 0;
-    mutable std::vector<uint8_t> offline_;
-    mutable std::vector<uint32_t> subUncorrectable_;
-    mutable uint32_t onlineCount_ = 0;
 };
 
 } // namespace isrf

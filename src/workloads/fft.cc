@@ -420,7 +420,7 @@ runFft2dSized(const MachineConfig &machineCfg, const WorkloadOptions &opts,
     res.status = prog.lastStatus();
     harvestResult(res, m, cycles);
     if (res.status != RunStatus::Done) {
-        // Interrupted run (watchdog/deadline/cancel): the functional
+        // Interrupted run (deadline/cancel): the functional
         // output is incomplete, so skip the reference validation.
         return res;
     }

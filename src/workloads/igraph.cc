@@ -426,7 +426,7 @@ runIgraph(const std::string &dataset, const MachineConfig &machineCfg,
     res.status = prog.lastStatus();
     harvestResult(res, m, cycles);
     if (res.status != RunStatus::Done) {
-        // Interrupted run (watchdog/deadline/cancel): the functional
+        // Interrupted run (deadline/cancel): the functional
         // output is incomplete, so skip the reference validation.
         return res;
     }

@@ -1,6 +1,5 @@
 #include "workloads/micro.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "net/crossbar.h"
@@ -17,13 +16,6 @@ inLaneRandomThroughput(const InLaneMicroParams &p)
     geom.addrFifoSize = p.fifoSize;
     Srf srf;
     srf.init(geom, SrfMode::Indexed4, nullptr);
-
-    // Graceful-degradation study: run with some sub-arrays offline so
-    // their indexed traffic remaps onto the survivors.
-    uint32_t offline = std::min(p.offlineSubArrays, p.subArrays - 1);
-    for (uint32_t l = 0; l < geom.lanes; l++)
-        for (uint32_t s = 0; s < offline; s++)
-            srf.setSubArrayOffline(l, s, true);
 
     // One PerLane table region per stream, spread over the bank.
     std::vector<SlotId> slots;

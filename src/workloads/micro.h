@@ -30,11 +30,6 @@ struct InLaneMicroParams
     uint32_t streams = 4;     ///< random reads issued per cycle
     uint32_t cycles = 20000;
     uint64_t seed = 1;
-    /**
-     * Sub-arrays taken offline per bank before the run (graceful-
-     * degradation study; clamped to subArrays - 1 so one survives).
-     */
-    uint32_t offlineSubArrays = 0;
 };
 
 /** Sustained in-lane indexed throughput (words/cycle/lane). */

@@ -388,7 +388,7 @@ runSpmvCsr(const std::string &name, const CsrMatrix &csr,
     res.status = prog.lastStatus();
     harvestResult(res, m, cycles);
     if (res.status != RunStatus::Done) {
-        // Interrupted run (watchdog/deadline/cancel): the functional
+        // Interrupted run (deadline/cancel): the functional
         // output is incomplete, so skip the reference validation.
         return res;
     }

@@ -366,7 +366,7 @@ runStencil(const std::string &name, const MachineConfig &machineCfg,
     res.status = prog.lastStatus();
     harvestResult(res, m, cycles);
     if (res.status != RunStatus::Done) {
-        // Interrupted run (watchdog/deadline/cancel): the functional
+        // Interrupted run (deadline/cancel): the functional
         // output is incomplete, so skip the reference validation.
         return res;
     }

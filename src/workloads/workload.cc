@@ -124,26 +124,6 @@ harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles)
     res.srfIdxWords = m.srf().idxInLaneWords() + m.srf().idxCrossWords();
     res.cacheWords = m.mem().cache().hits();
     res.kernelBw = m.kernelBw();
-    if (m.faultsEnabled()) {
-        // Background-scrub before harvesting so lingering correctable
-        // faults are repaired (and counted) ahead of validation dumps.
-        m.scrubFaults();
-        m.syncFaultStats();
-        uint64_t injected = m.srf().faultsInjected() +
-            m.mem().dram().ecc().faultsInjected();
-        uint64_t corrected = m.srf().eccCorrected() +
-            m.mem().dram().ecc().corrected();
-        uint64_t uncorrectable = m.srf().eccUncorrectable() +
-            m.mem().dram().ecc().uncorrectable();
-        res.extra["faults_injected"] = static_cast<double>(injected);
-        res.extra["ecc_corrected"] = static_cast<double>(corrected);
-        res.extra["ecc_uncorrectable"] = static_cast<double>(uncorrectable);
-        res.extra["retries"] = static_cast<double>(m.mem().retries());
-        res.extra["poisoned_words"] =
-            static_cast<double>(m.mem().poisonedWords());
-        res.extra["degraded_subarrays"] =
-            static_cast<double>(m.srf().offlineSubArrays());
-    }
 }
 
 void

@@ -41,10 +41,10 @@ struct WorkloadResult
     bool correct = false;
     /**
      * How the simulation ended: Done for a completed run; Stalled
-     * (watchdog), TimedOut (deadline) or Cancelled when the drive loop
-     * stopped early (validation is skipped, correct=false); Failed
-     * when the workload threw (set by the sweep driver, with the
-     * exception message in `error`).
+     * (ended without finishing), TimedOut (deadline) or Cancelled
+     * when the drive loop stopped early (validation is skipped,
+     * correct=false); Failed when the workload threw (set by the
+     * sweep driver, with the exception message in `error`).
      */
     RunStatus status = RunStatus::Done;
     /** Human-readable failure detail (Failed outcomes); else empty. */

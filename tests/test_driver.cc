@@ -6,7 +6,7 @@
  *  - thread-count invariance: a sweep's results serialize
  *    bit-identically whether run on 1 thread or N
  *  - per-machine isolation: two Machines in one process with different
- *    fault/trace configurations don't leak state into each other
+ *    sampler/trace configurations don't leak state into each other
  *  - explicit env snapshotting: MachineConfig::make() never reads the
  *    environment; only fromEnv() does, and invalid values are
  *    diagnosed and defaulted instead of silently misparsed
@@ -128,14 +128,13 @@ TEST(SweepRunner, TimingAccountsForEveryJob)
               runner.timing().sumJobSeconds * 0.5);
 }
 
-TEST(MachineIsolation, FaultAndTraceConfigsDoNotLeak)
+TEST(MachineIsolation, SamplerAndTraceConfigsDoNotLeak)
 {
-    // Machine A: faults + tracing. Machine B: neither. Both live in
-    // the same process at the same time — the bug class this PR fixes
-    // is A's env-derived state bleeding into B.
+    // Machine A: stat sampling + tracing. Machine B: neither. Both
+    // live in the same process at the same time; A's configuration
+    // must not bleed into B.
     MachineConfig cfgA = MachineConfig::make(MachineKind::ISRF4);
-    cfgA.faults =
-        FaultConfig::parse("seed=7;srf_bit:start=50,period=31,count=4");
+    cfgA.statSampleInterval = 64;
     cfgA.traceSpec = "all";
     MachineConfig cfgB = MachineConfig::make(MachineKind::ISRF4);
 
@@ -143,20 +142,24 @@ TEST(MachineIsolation, FaultAndTraceConfigsDoNotLeak)
     a.init(cfgA);
     b.init(cfgB);
 
-    EXPECT_NE(a.faultInjector(), nullptr);
-    EXPECT_EQ(b.faultInjector(), nullptr)
-        << "B must not inherit A's fault config";
+    EXPECT_NE(a.sampler(), nullptr);
+    EXPECT_EQ(b.sampler(), nullptr)
+        << "B must not inherit A's sampler config";
     EXPECT_TRUE(a.tracer().on());
     EXPECT_FALSE(b.tracer().on())
         << "B must not inherit A's trace config";
 
-    // Drive both; only A's private tracer accumulates events.
-    runWorkload("Sort", cfgA, WorkloadOptions{.repeats = 1});
+    // Both knobs are observability only: the results match.
+    WorkloadOptions opts{.repeats = 1};
+    EXPECT_EQ(resultJson(runWorkload("Sort", cfgA, opts)),
+              resultJson(runWorkload("Sort", cfgB, opts)));
     Machine m1, m2;
     m1.init(cfgA);
     m2.init(cfgB);
     EXPECT_TRUE(m1.tracer().on());
+    EXPECT_NE(m1.sampler(), nullptr);
     EXPECT_EQ(m2.tracer().size(), 0u);
+    EXPECT_EQ(m2.sampler(), nullptr);
 }
 
 TEST(MachineIsolation, ConcurrentTracedMachinesStayPrivate)
@@ -170,8 +173,8 @@ TEST(MachineIsolation, ConcurrentTracedMachinesStayPrivate)
     cfg.traceCapacity = 1 << 12;
 
     std::vector<SweepJob> jobs(2);
-    jobs[0] = {"Sort", cfg, opts};
-    jobs[1] = {"Sort", cfg, opts};
+    jobs[0] = {"Sort", cfg, opts, {}};
+    jobs[1] = {"Sort", cfg, opts, {}};
     SweepRunner runner(2);
     auto out = runner.run(jobs);
     ASSERT_EQ(out.size(), 2u);
@@ -181,25 +184,21 @@ TEST(MachineIsolation, ConcurrentTracedMachinesStayPrivate)
 
 TEST(EnvSnapshot, MakeNeverReadsEnvironment)
 {
-    ScopedEnv faults("ISRF_FAULTS", "seed=1;srf_bit");
     ScopedEnv sample("ISRF_SAMPLE", "128");
     ScopedEnv trace("ISRF_TRACE", "srf,dram");
 
     MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
-    EXPECT_FALSE(cfg.faults.enabled);
     EXPECT_EQ(cfg.statSampleInterval, 0u);
     EXPECT_TRUE(cfg.traceSpec.empty());
 
     // A Machine built from an env-free config ignores the environment.
     Machine m;
     m.init(cfg);
-    EXPECT_EQ(m.faultInjector(), nullptr);
     EXPECT_EQ(m.sampler(), nullptr);
     EXPECT_FALSE(m.tracer().on());
 
     // fromEnv() is the one explicit snapshot point.
     cfg.fromEnv();
-    EXPECT_TRUE(cfg.faults.enabled);
     EXPECT_EQ(cfg.statSampleInterval, 128u);
     EXPECT_EQ(cfg.traceSpec, "srf,dram");
 }
@@ -208,7 +207,6 @@ TEST(EnvSnapshot, InvalidValuesWarnAndDefault)
 {
     ScopedEnv sample("ISRF_SAMPLE", "10 cycles");
     ScopedEnv cap("ISRF_TRACE_CAPACITY", "99999999999999999999999");
-    ScopedEnv faults("ISRF_FAULTS", nullptr);
     ScopedEnv trace("ISRF_TRACE", nullptr);
 
     MachineConfig cfg = MachineConfig::make(MachineKind::Base).fromEnv();
@@ -619,11 +617,6 @@ TEST(SweepResilience, FingerprintSeparatesExperiments)
 
     other = base;
     other.opts.repeats++;
-    EXPECT_NE(SweepRunner::fingerprint(base),
-              SweepRunner::fingerprint(other));
-
-    other = base;
-    other.cfg.faults.enabled = true;
     EXPECT_NE(SweepRunner::fingerprint(base),
               SweepRunner::fingerprint(other));
 

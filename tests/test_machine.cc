@@ -2,8 +2,8 @@
  * @file
  * Machine-level tests: configuration factories, kernel launch/finish
  * lifecycle, functional output correctness, execution-time breakdown
- * accounting, Figure 13 bandwidth records, re-initialization, and a
- * seeded MachineConfig fuzz.
+ * accounting, Figure 13 bandwidth records, re-initialization, config
+ * validation, and a seeded MachineConfig fuzz.
  */
 #include <gtest/gtest.h>
 
@@ -322,13 +322,11 @@ rampData(size_t n)
 
 TEST(MachineReinit, SecondInitMatchesFreshMachine)
 {
-    // watchdogInterval/statSampleInterval both register Ticked
-    // components owned by unique_ptrs that init() re-creates; before
-    // Engine::clear() existed, the second init() left the engine
-    // ticking dangling pointers (caught by ASan) and kept the old
-    // clock running.
+    // statSampleInterval registers a Ticked component owned by a
+    // unique_ptr that init() re-creates; before Engine::clear()
+    // existed, the second init() left the engine ticking a dangling
+    // pointer (caught by ASan) and kept the old clock running.
     MachineConfig cfg = MachineConfig::isrf4();
-    cfg.faults.watchdogInterval = 512;
     cfg.statSampleInterval = 256;
     cfg.dram.capacityWords = 1 << 16;
 
@@ -348,6 +346,50 @@ TEST(MachineReinit, SecondInitMatchesFreshMachine)
     EXPECT_EQ(m.now(), 0u);
     EXPECT_EQ(runCopyProgram(m, rampData(256)), freshCycles);
     EXPECT_EQ(machineReportJson(m), freshReport);
+}
+
+// ----------------------------------------------------------------------
+// Config validation
+// ----------------------------------------------------------------------
+
+TEST(ConfigValidateDeathTest, ReportsAllViolationsAtOnce)
+{
+    MachineConfig cfg = MachineConfig::base();
+    cfg.srf.subArrays = 3;       // not a power of two
+    cfg.dram.accessLatency = 0;  // invalid
+    // Both violations appear in one fatal() message.
+    EXPECT_DEATH(cfg.validate(), "2 violation");
+    EXPECT_DEATH(cfg.validate(), "subArrays must be a power of two");
+    EXPECT_DEATH(cfg.validate(), "accessLatency must be nonzero");
+}
+
+TEST(ConfigValidateDeathTest, KeepsExistingChecks)
+{
+    MachineConfig cfg = MachineConfig::base();
+    cfg.mem.cacheEnabled = true;
+    EXPECT_DEATH(cfg.validate(), "cache enabled");
+    MachineConfig cc = MachineConfig::cacheCfg();
+    cc.mem.cacheEnabled = false;
+    EXPECT_DEATH(cc.validate(), "without cache");
+    MachineConfig lw = MachineConfig::base();
+    lw.srf.laneWords = 4098;
+    EXPECT_DEATH(lw.validate(), "multiple of seqWidth");
+}
+
+TEST(ConfigValidateDeathTest, SeqWidthBeyondRowBufferIsConfigError)
+{
+    // Used to hard-fatal() inside Srf::init() at machine-build time;
+    // now reported collect-all with the other config violations.
+    MachineConfig cfg = MachineConfig::base();
+    cfg.srf.seqWidth = 16;  // keeps laneWords a multiple: one violation
+    EXPECT_DEATH(cfg.validate(), "seqWidth > 8 unsupported");
+}
+
+TEST(ConfigValidateDeathTest, TooManySlotsForGlobalArbiter)
+{
+    MachineConfig cfg = MachineConfig::base();
+    cfg.srf.maxStreamSlots = 64;  // + indexed bundle = 65 claimants
+    EXPECT_DEATH(cfg.validate(), "at most 64 claimants");
 }
 
 // ----------------------------------------------------------------------

@@ -303,8 +303,9 @@ TEST(MtxParse, TruncatedSymmetricNeverExpandsPartially)
     for (size_t cut = 0; cut < full.size() - 1; cut++) {
         MtxMatrix m;
         std::vector<std::string> errs;
-        if (!mtxParse(full.substr(0, cut), m, &errs))
+        if (!mtxParse(full.substr(0, cut), m, &errs)) {
             EXPECT_FALSE(errs.empty()) << "offset " << cut;
+        }
     }
 }
 
@@ -378,8 +379,9 @@ expectWellFormed(const CsrMatrix &m)
         ASSERT_LE(m.rowPtr[r], m.rowPtr[r + 1]);
         for (uint64_t k = m.rowPtr[r]; k < m.rowPtr[r + 1]; k++) {
             ASSERT_LT(m.col[k], m.cols);
-            if (k > m.rowPtr[r])
+            if (k > m.rowPtr[r]) {
                 ASSERT_LT(m.col[k - 1], m.col[k]) << "row " << r;
+            }
         }
     }
 }

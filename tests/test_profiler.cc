@@ -222,8 +222,9 @@ TEST(ProfilerScope, StrideSamplesHotPhases)
     EXPECT_EQ(coarse.calls, 8u);
     EXPECT_EQ(coarse.timed, 8u);
     // Extrapolation scales measured ns to the full call count.
-    if (hot.ns > 0)
+    if (hot.ns > 0) {
         EXPECT_GT(hot.estNs(), static_cast<double>(hot.ns));
+    }
 }
 
 TEST(ProfilerScope, MergeAndResetAccumulate)

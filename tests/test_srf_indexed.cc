@@ -1,13 +1,20 @@
 /**
  * @file
  * Tests for indexed SRF access: in-lane reads/writes, latency, in-order
- * delivery, sub-array conflicts, ISRF1 vs ISRF4 bandwidth, records, and
- * cross-lane access through the index network and data crossbar.
+ * delivery, sub-array conflicts, ISRF1 vs ISRF4 bandwidth, records,
+ * cross-lane access through the index network and data crossbar, and
+ * the data words of many random reads checked against their table.
  */
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <vector>
+
 #include "net/crossbar.h"
 #include "srf/srf.h"
+#include "util/log.h"
+#include "util/random.h"
 
 namespace isrf {
 namespace {
@@ -310,6 +317,129 @@ TEST_F(SrfIdxTest, SequentialAndIndexedShareThePort)
     // bundle: roughly half the cycles each.
     EXPECT_GE(seqGrants, 15u);
     EXPECT_GE(idxGrants, 15u);
+}
+
+// Kernels on a Machine replay precomputed lane traces and drop the
+// words their indexed reads return, so this test is what checks that
+// the SRF fetches the right word for every in-lane and cross-lane read.
+TEST(SrfIdxData, RandomReadsReturnTheirTableWords)
+{
+    struct Point
+    {
+        SrfMode mode;
+        uint32_t lanes;
+        uint32_t seqWidth;
+        uint32_t recordWords;
+    };
+    const Point points[] = {
+        {SrfMode::Indexed1, 8, 4, 1}, {SrfMode::Indexed4, 8, 4, 1},
+        {SrfMode::Indexed1, 4, 2, 2}, {SrfMode::Indexed4, 4, 2, 1},
+        {SrfMode::Indexed4, 16, 8, 2},
+    };
+    constexpr uint32_t kLocalWords = 64;  // per lane, both tables
+    constexpr uint32_t kReads = 40;       // per lane per table
+
+    for (const Point &p : points) {
+        const std::string where = strprintf(
+            "%s lanes=%u seqWidth=%u recordWords=%u",
+            p.mode == SrfMode::Indexed1 ? "ISRF1" : "ISRF4", p.lanes,
+            p.seqWidth, p.recordWords);
+        SrfGeometry g;
+        g.lanes = p.lanes;
+        g.seqWidth = p.seqWidth;
+        g.laneWords = 1024;
+        Crossbar net;
+        net.init(g.lanes, 1, 1);
+        Srf srf;
+        srf.init(g, p.mode, &net);
+
+        // Slot 0: a cross-lane table striped across every lane. Slot 1:
+        // an in-lane table, each lane's own kLocalWords words.
+        SlotConfig cfg;
+        cfg.dir = StreamDir::In;
+        cfg.indexed = true;
+        cfg.recordWords = p.recordWords;
+        cfg.crossLane = true;
+        cfg.layout = StreamLayout::Striped;
+        cfg.base = 0;
+        cfg.lengthWords = p.lanes * kLocalWords;
+        SlotId slots[2];
+        slots[0] = srf.openSlot(cfg);
+        cfg.crossLane = false;
+        cfg.layout = StreamLayout::PerLane;
+        cfg.base = kLocalWords;
+        cfg.lengthWords = kLocalWords;
+        slots[1] = srf.openSlot(cfg);
+
+        // Distinct words, so a read of any neighbour is a mismatch.
+        // PerLane fill order is lane 0's words, then lane 1's, ...
+        std::vector<Word> tables[2];
+        for (int t = 0; t < 2; t++) {
+            tables[t].resize(p.lanes * kLocalWords);
+            for (size_t i = 0; i < tables[t].size(); i++)
+                tables[t][i] = static_cast<Word>(((t + 1) << 24) + i);
+            srf.fillSlot(slots[t], tables[t]);
+        }
+        const uint32_t records[2] = {
+            p.lanes * kLocalWords / p.recordWords,
+            kLocalWords / p.recordWords};
+
+        Rng rng(0x1dc0de + p.lanes * 31 + p.seqWidth);
+        std::vector<std::deque<std::vector<Word>>> want(2 * p.lanes);
+        std::vector<uint32_t> left(2 * p.lanes, kReads);
+        const uint64_t total = 2ull * p.lanes * kReads;
+        uint64_t popped = 0, mismatches = 0;
+        std::string firstMismatch;
+        Cycle now = 0;
+        for (; popped < total && now < 100000; now++) {
+            net.newCycle();
+            srf.beginCycle(now);
+            for (uint32_t l = 0; l < p.lanes; l++) {
+                for (int t = 0; t < 2; t++) {
+                    auto &q = want[2 * l + t];
+                    while (srf.idxDataReady(l, slots[t], now)) {
+                        ASSERT_FALSE(q.empty()) << where;
+                        Word out[4];
+                        ASSERT_EQ(srf.idxDataPop(l, slots[t], out),
+                                  p.recordWords) << where;
+                        for (uint32_t k = 0; k < p.recordWords; k++) {
+                            if (out[k] == q.front()[k])
+                                continue;
+                            if (mismatches++ == 0)
+                                firstMismatch = strprintf(
+                                    "lane %u %s word %u: got %#x, "
+                                    "want %#x", l,
+                                    t == 0 ? "cross-lane" : "in-lane",
+                                    k, out[k], q.front()[k]);
+                        }
+                        q.pop_front();
+                        popped++;
+                    }
+                    // Up to two new reads per table per cycle.
+                    uint32_t &n = left[2 * l + t];
+                    for (int i = 0; i < 2 && n > 0 &&
+                             srf.idxCanIssue(l, slots[t]); i++) {
+                        n--;
+                        uint32_t rec =
+                            static_cast<uint32_t>(rng.below(records[t]));
+                        ASSERT_TRUE(srf.idxIssueRead(l, slots[t], rec));
+                        uint32_t w0 = rec * p.recordWords +
+                            (t == 0 ? 0 : l * kLocalWords);
+                        q.emplace_back(
+                            tables[t].begin() + w0,
+                            tables[t].begin() + w0 + p.recordWords);
+                    }
+                }
+            }
+            srf.endCycle(now);
+        }
+        ASSERT_EQ(popped, total) << where << ": reads never returned";
+        EXPECT_EQ(mismatches, 0u) << where << ", first: " << firstMismatch;
+        EXPECT_EQ(srf.idxCrossWords(), p.lanes * kReads * p.recordWords)
+            << where;
+        EXPECT_EQ(srf.idxInLaneWords(), p.lanes * kReads * p.recordWords)
+            << where;
+    }
 }
 
 } // namespace
