@@ -16,16 +16,14 @@
  * wall times, sim-cycles/second, aggregated ISRF_PROFILE profile)
  * consumed by tools/perf_diff and CI's perf job (DESIGN.md §13).
  *
- * Resilience (DESIGN.md §Sweep resilience): with --journal each
+ * Journaling (DESIGN.md §12): with --journal each
  * finished job is durably appended to a JSONL journal; --resume
  * replays journaled jobs so a killed sweep continues where it stopped,
  * with a --json report byte-identical to an uninterrupted run's.
- * --timeout-s bounds each attempt's wall-clock time and --retries
- * re-runs TimedOut/Stalled attempts with jittered backoff. The hidden
- * --with-hang flag injects a synthetic never-terminating job (used by
- * CI to prove a hung job cannot block the sweep).
+ * Each job runs once, to done or (if it throws) failed. Ctrl-C and
+ * kill leave the default disposition: the journal is fsync'd per
+ * record, so --resume drops at most a torn final line.
  */
-#include <csignal>
 #include <cstdlib>
 
 #include "bench_util.h"
@@ -34,25 +32,6 @@ using namespace isrf;
 using namespace isrf::bench;
 
 namespace {
-
-/**
- * Root cancel token tripped by SIGINT/SIGTERM. Before this handler the
- * default disposition killed the process mid-sweep, abandoning the
- * journal's final record mid-append more often than necessary; now
- * in-flight jobs finish as Cancelled at the next cycle boundary and
- * the journal closes cleanly (the torn-tail recovery on resume becomes
- * the SIGKILL-only path it was designed to be). CancelToken::cancel()
- * is one relaxed atomic store — async-signal-safe.
- */
-CancelToken gSignalCancel;
-volatile std::sig_atomic_t gSignalSeen = 0;
-
-void
-onTerminationSignal(int sig)
-{
-    gSignalSeen = sig;
-    gSignalCancel.cancel();
-}
 
 void
 writeTimingJson(const std::string &path, const SweepRunner &runner,
@@ -83,7 +62,6 @@ writeTimingJson(const std::string &path, const SweepRunner &runner,
         w.key("cycles").value(o.result.cycles);
         w.key("correct").value(o.result.correct);
         w.key("status").value(std::string(runStatusName(o.status)));
-        w.key("attempts").value(static_cast<uint64_t>(o.attempts));
         w.key("from_journal").value(o.fromJournal);
         w.endObject();
     }
@@ -128,36 +106,6 @@ writeSweepJson(const std::string &path,
                      path.c_str());
 }
 
-/** A component that does nothing, so the engine has one to tick. */
-struct Spinner : Ticked
-{
-    void tick(Cycle) override {}
-    std::string tickedName() const override { return "spinner"; }
-};
-
-/**
- * Synthetic hung job (--with-hang): drives a real Engine with a
- * predicate that never holds, exercising the genuine cooperative-
- * deadline exit path. Without --timeout-s (or an external cancel) it
- * runs to the 2^40-cycle limit — i.e., effectively forever.
- */
-WorkloadResult
-runHang(const MachineConfig &cfg, const WorkloadOptions &opts)
-{
-    WorkloadResult res;
-    res.workload = "Hang";
-    res.kind = cfg.kind;
-    Engine eng;
-    Spinner spin;
-    eng.add(&spin);
-    eng.setCancel(opts.cancel);
-    RunResult r = eng.runUntil([] { return false; }, 1ull << 40);
-    res.status = r.status == RunStatus::Limit ? RunStatus::Stalled
-                                              : r.status;
-    res.cycles = r.cycles;
-    return res;
-}
-
 } // namespace
 
 int
@@ -167,7 +115,6 @@ main(int argc, char **argv)
     std::string timingPath;
     std::string benchJsonPath;
     std::string suite = "paper";
-    bool withHang = false;
     BenchArgs args = parseBenchArgs(argc, argv, {
         {"--timing-json", true,
          [&](const std::string &v) { timingPath = v; }},
@@ -182,8 +129,6 @@ main(int argc, char **argv)
              }
              suite = v;
          }},
-        {"--with-hang", false,
-         [&](const std::string &) { withHang = true; }},
     });
 
     // --suite paper is the default so the perf job's 32-job contract
@@ -207,23 +152,10 @@ main(int argc, char **argv)
     WorkloadOptions opts;
     opts.repeats = 2;
     auto jobs = SweepRunner::matrix(names, machineOrder(), opts);
-    if (withHang) {
-        SweepJob hang;
-        hang.workload = "Hang";
-        hang.cfg = MachineConfig::make(MachineKind::Base).fromEnv();
-        hang.opts = opts;
-        hang.runner = runHang;
-        jobs.push_back(std::move(hang));
-    }
 
     SweepPolicy policy;
-    policy.timeoutSeconds = args.timeoutSeconds;
-    policy.retries = args.retries;
     policy.journalPath = args.journalPath;
     policy.resume = args.resume;
-    policy.cancel = &gSignalCancel;
-    std::signal(SIGINT, onTerminationSignal);
-    std::signal(SIGTERM, onTerminationSignal);
 
     SweepRunner runner(args.jobs);
     std::printf("running %zu jobs on %u thread(s)...\n\n", jobs.size(),
@@ -238,7 +170,7 @@ main(int argc, char **argv)
         });
 
     Table t({"Benchmark", "Config", "Cycles", "Correct", "Status",
-             "Att", "Wall (s)"});
+             "Wall (s)"});
     bool allGood = true;
     for (const auto &o : outcomes) {
         allGood = allGood &&
@@ -249,7 +181,6 @@ main(int argc, char **argv)
                   o.fromJournal
                       ? std::string(runStatusName(o.status)) + "*"
                       : runStatusName(o.status),
-                  std::to_string(o.attempts),
                   fmtDouble(o.wallSeconds, 3)});
     }
     std::printf("%s\n", t.render().c_str());
@@ -279,14 +210,6 @@ main(int argc, char **argv)
     }
     std::printf("aggregate speedup:  %.2fx\n", timing.speedup());
     std::printf("all done+correct:   %s\n", allGood ? "yes" : "NO");
-    if (gSignalSeen) {
-        std::printf("interrupted by signal %d: in-flight jobs finished "
-                    "as cancelled, journal closed cleanly%s\n",
-                    static_cast<int>(gSignalSeen),
-                    args.journalPath.empty()
-                        ? ""
-                        : "; re-run with --resume to continue");
-    }
 
     if (!args.jsonPath.empty())
         writeSweepJson(args.jsonPath, outcomes);

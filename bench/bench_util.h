@@ -223,11 +223,9 @@ struct BenchArgs
     std::string profilePath; ///< --profile: host-time profile dump
     unsigned jobs = 1;       ///< --jobs: sweep thread-pool width
     bool quiet = false;      ///< --quiet: suppress progress chatter
-    // Sweep resilience (bench_sweep; DESIGN.md §Sweep resilience):
-    std::string journalPath;   ///< --journal: per-job JSONL journal
-    bool resume = false;       ///< --resume: replay journaled jobs
-    double timeoutSeconds = 0; ///< --timeout-s: per-attempt deadline
-    unsigned retries = 0;      ///< --retries: extra attempts
+    // Sweep journaling (bench_sweep; DESIGN.md §12):
+    std::string journalPath; ///< --journal: per-job JSONL journal
+    bool resume = false;     ///< --resume: replay journaled jobs
     /** Workload names registered via --dataset, in flag order. */
     std::vector<std::string> datasetWorkloads;
 };
@@ -257,16 +255,16 @@ struct BenchFlag
  *   --quiet                  suppress progress output
  *   --journal <path>         append per-job outcomes to a JSONL journal
  *   --resume                 replay journaled outcomes (with --journal)
- *   --timeout-s <secs>       per-attempt wall-clock deadline
- *   --retries <n>            retry TimedOut/Stalled jobs up to n times
  *   --dataset <file.mtx>     register a MatrixMarket file as an
  *                            "SpMV:<stem>" workload (repeatable;
  *                            registered names land in
  *                            BenchArgs::datasetWorkloads)
  * --trace enables all channels unless a channel spec (or ISRF_TRACE)
- * already selected some. --trace-channels/--profile export their
- * specs into the environment so every MachineConfig::fromEnv()
- * snapshot taken afterwards picks them up. `extra` adds binary-specific
+ * already selected some. --trace, --trace-channels and --profile
+ * export their specs into the environment; the global Tracer and
+ * Profiler shims then take their settings from one
+ * MachineConfig::fromEnv() snapshot, as every job config built
+ * afterwards does. `extra` adds binary-specific
  * flags to the same parse (and to --help). Exits on unknown options.
  */
 inline BenchArgs
@@ -274,8 +272,6 @@ parseBenchArgs(int argc, char **argv,
                const std::vector<BenchFlag> &extra = {})
 {
     BenchArgs args;
-    // Force construction so ISRF_TRACE is parsed before any on() check.
-    Tracer::instance();
     auto next = [&](int &i, const char *flag) -> std::string {
         if (i + 1 >= argc) {
             std::fprintf(stderr, "%s requires an argument\n", flag);
@@ -298,11 +294,8 @@ parseBenchArgs(int argc, char **argv,
         } else if (s == "--profile") {
             args.profilePath = next(i, "--profile");
         } else if (s == "--trace-channels") {
-            std::string spec = next(i, "--trace-channels");
-            // Machines snapshot ISRF_TRACE via fromEnv(); the global
-            // shim gates trace merging and does the export.
-            setenv("ISRF_TRACE", spec.c_str(), 1);
-            Tracer::instance().enableChannels(spec);
+            // Machines and the global shim snapshot it via fromEnv().
+            setenv("ISRF_TRACE", next(i, "--trace-channels").c_str(), 1);
         } else if (s == "--jobs") {
             std::string v = next(i, "--jobs");
             uint64_t n = 0;
@@ -317,16 +310,6 @@ parseBenchArgs(int argc, char **argv,
             args.journalPath = next(i, "--journal");
         } else if (s == "--resume") {
             args.resume = true;
-        } else if (s == "--timeout-s") {
-            std::string v = next(i, "--timeout-s");
-            double secs = 0;
-            if (!parseF64(v, secs) || !(secs > 0.0)) {
-                std::fprintf(stderr,
-                             "--timeout-s expects a positive number, "
-                             "got '%s'\n", v.c_str());
-                std::exit(2);
-            }
-            args.timeoutSeconds = secs;
         } else if (s == "--dataset") {
             std::string path = next(i, "--dataset");
             std::string name;
@@ -340,16 +323,6 @@ parseBenchArgs(int argc, char **argv,
                 std::exit(2);
             }
             args.datasetWorkloads.push_back(name);
-        } else if (s == "--retries") {
-            std::string v = next(i, "--retries");
-            uint64_t n = 0;
-            if (!parseU64(v, n) || n > 100) {
-                std::fprintf(stderr,
-                             "--retries expects an integer in [0,100], "
-                             "got '%s'\n", v.c_str());
-                std::exit(2);
-            }
-            args.retries = static_cast<unsigned>(n);
         } else if (s == "--quiet") {
             args.quiet = true;
             quietFlag() = true;
@@ -365,8 +338,7 @@ parseBenchArgs(int argc, char **argv,
                 "usage: %s [--json <path>] [--trace <path>] "
                 "[--trace-channels <spec>] [--profile <path>] "
                 "[--jobs <n>] [--quiet] [--journal <path>] "
-                "[--resume] [--timeout-s <secs>] [--retries <n>] "
-                "[--dataset <file.mtx>]...%s\n",
+                "[--resume] [--dataset <file.mtx>]...%s\n",
                 argv[0], extras.c_str());
             std::exit(0);
         } else {
@@ -379,17 +351,23 @@ parseBenchArgs(int argc, char **argv,
         std::fprintf(stderr, "--resume requires --journal <path>\n");
         std::exit(2);
     }
-    if (!args.tracePath.empty() && !Tracer::instance().on()) {
+    const std::string traceEnv = envStr("ISRF_TRACE");
+    if (!args.tracePath.empty() && (traceEnv.empty() || traceEnv == "0"))
         setenv("ISRF_TRACE", "all", 1);
-        Tracer::instance().enableChannels("all");
-    }
     // --profile turns profiling on unless ISRF_PROFILE already chose a
     // setting (e.g. a custom stride, or an explicit off to measure the
-    // dump path alone). Exported before the shim constructs so its
-    // one-time env parse sees the final value.
+    // dump path alone).
     if (!args.profilePath.empty() && envStr("ISRF_PROFILE").empty())
         setenv("ISRF_PROFILE", "on", 1);
-    Profiler::instance();
+    // The global shims (what --trace and --profile export) take their
+    // settings from one fromEnv() snapshot, as every job config does.
+    const MachineConfig env =
+        MachineConfig::make(MachineKind::Base).fromEnv();
+    if (!env.traceSpec.empty()) {
+        Tracer::instance().setCapacity(env.traceCapacity);
+        Tracer::instance().enableChannels(env.traceSpec);
+    }
+    Profiler::instance().configure(env.profileEnabled, env.profileStride);
     return args;
 }
 

@@ -119,10 +119,7 @@ class Machine : public Ticked
     /** Step the engine n cycles. */
     void step(uint64_t n = 1) { engine_.steps(n); }
 
-    /**
-     * Step until pred() or the cycle limit; never panics. TimedOut and
-     * Cancelled come from the engine's CancelToken.
-     */
+    /** Step until pred() or the cycle limit; never panics. */
     RunResult
     runUntil(const std::function<bool()> &pred,
              uint64_t limit = 1ull << 30)

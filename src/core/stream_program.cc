@@ -354,7 +354,6 @@ StreamProgram::run(uint64_t maxCycles)
 {
     const Cycle start = machine_.now();
     uint64_t cycles = 0;
-    status_ = RunStatus::Done;
     Profiler::Scope prof(machine_.profiler(), Profiler::Run);
     buildScoreboard();
     while (true) {
@@ -362,18 +361,6 @@ StreamProgram::run(uint64_t maxCycles)
         if (completedOps_ == ops_.size() && machine_.mem().idle() &&
                 !machine_.kernelActive())
             break;
-        // Cooperative cancellation/deadline (Engine::setCancel): the
-        // same check points as Engine::runUntil — between steps, after
-        // the completion test, so a finished program is never reported
-        // cancelled.
-        RunStatus cs = machine_.engine().pollCancel();
-        if (cs != RunStatus::Done) {
-            ISRF_WARN("StreamProgram::run: %s at cycle %llu; stopping",
-                      runStatusName(cs),
-                      static_cast<unsigned long long>(cycles));
-            status_ = cs;
-            break;
-        }
         if (issueDue())
             tryIssue();
         machine_.engine().step();
@@ -382,7 +369,7 @@ StreamProgram::run(uint64_t maxCycles)
             panic("StreamProgram::run: exceeded %llu cycles (deadlock?)",
                   static_cast<unsigned long long>(maxCycles));
     }
-    machine_.noteRunStatus(status_);
+    machine_.noteRunStatus(RunStatus::Done);
     return cycles;
 }
 

@@ -123,20 +123,11 @@ class StreamProgram
     // ------------------------------------------------------------------
 
     /**
-     * Run to completion (all ops done, memory system idle), or until
-     * the engine's CancelToken (see Engine::setCancel) requests
-     * cancellation / expires its deadline.
-     * How the run ended is reported by lastStatus(); non-Done runs
-     * leave the machine at a consistent cycle boundary.
+     * Run to completion (all ops done, memory system idle). Panics
+     * past `maxCycles`: a run that long is a model deadlock.
      * @return total machine cycles elapsed during this call.
      */
     uint64_t run(uint64_t maxCycles = 1ull << 30);
-
-    /**
-     * How the most recent run() ended: Done, TimedOut (deadline) or
-     * Cancelled. Done before any run().
-     */
-    RunStatus lastStatus() const { return status_; }
 
     /** Number of operations recorded. */
     size_t opCount() const { return ops_.size(); }
@@ -188,7 +179,6 @@ class StreamProgram
     std::vector<std::vector<ProgOpId>> readersSinceWrite_;
     std::vector<SlotId> openedSlots_;
     ProgOpId activeKernelOp_ = -1;
-    RunStatus status_ = RunStatus::Done;
 
     // Issue scoreboard (DESIGN.md §2, row 9), rebuilt by
     // buildScoreboard().

@@ -15,7 +15,6 @@
 #include "util/json.h"
 #include "util/jsonl.h"
 #include "util/log.h"
-#include "util/random.h"
 #include "workloads/external.h"
 
 namespace isrf {
@@ -214,9 +213,13 @@ headerRecord(uint64_t sweepFp, size_t jobCount)
     return w.str();
 }
 
+/**
+ * One finished job. The record type stays "attempt" and the layout
+ * stays version 1: journals from builds that retried jobs (and wrote
+ * an "attempt" counter) resume under this one and vice versa.
+ */
 std::string
-attemptRecord(uint64_t jobFp, const SweepOutcome &o, uint32_t attempt,
-              double wallSeconds)
+jobRecord(uint64_t jobFp, const SweepOutcome &o)
 {
     JsonWriter w;
     w.beginObject();
@@ -224,9 +227,8 @@ attemptRecord(uint64_t jobFp, const SweepOutcome &o, uint32_t attempt,
     w.field("job", jobFp);
     w.field("workload", o.workload);
     w.field("machine", std::string(machineKindName(o.kind)));
-    w.field("attempt", static_cast<uint64_t>(attempt));
     w.field("status", std::string(runStatusName(o.status)));
-    w.field("wall_s", wallSeconds);
+    w.field("wall_s", o.wallSeconds);
     w.field("error", o.result.error);
     w.key("result").raw(o.resultText);
     w.endObject();
@@ -276,6 +278,18 @@ decodeResult(const SweepJournalRecord &rec, const SweepJob &job)
     return r;
 }
 
+/** The outcome of a job whose workload threw `what`. */
+WorkloadResult
+failedResult(const SweepJob &job, const char *what)
+{
+    WorkloadResult r;
+    r.workload = job.workload;
+    r.kind = job.cfg.kind;
+    r.status = RunStatus::Failed;
+    r.error = what;
+    return r;
+}
+
 } // namespace
 
 // ----------------------------------------------------------------------
@@ -308,13 +322,6 @@ SweepRunner::sweepFingerprint(const std::vector<SweepJob> &jobs)
     for (const SweepJob &j : jobs)
         h = fnv1a(std::to_string(fingerprint(j)), h);
     return h;
-}
-
-bool
-SweepRunner::replayable(RunStatus s)
-{
-    return s == RunStatus::Done || s == RunStatus::Stalled ||
-           s == RunStatus::Failed;
 }
 
 SweepJournalLoad
@@ -359,19 +366,24 @@ SweepRunner::loadJournal(const std::string &path)
     for (size_t i = 1; i < raw.records.size(); i++) {
         JsonLineView v(raw.records[i]);
         SweepJournalRecord rec;
-        uint64_t attempt = 1;
         std::string status;
         if (!v.valid() || !v.getString("type", type) ||
             type != "attempt" || !v.getU64("job", rec.job) ||
             !v.getString("workload", rec.workload) ||
             !v.getString("machine", rec.machine) ||
-            !v.getU64("attempt", attempt) ||
             !v.getString("status", status) ||
             !v.getRaw("result", rec.resultText)) {
             load.error = strprintf(
-                "'%s' line %zu is not a journal attempt record",
+                "'%s' line %zu is not a journal job record",
                 path.c_str(), i + 1);
             return load;
+        }
+        // Statuses of the retired deadline/retry/cancel layer: the
+        // job never finished, so it re-runs.
+        if (status == "cancelled" || status == "timed_out" ||
+            status == "stalled") {
+            load.latest.erase(rec.job);
+            continue;
         }
         if (!runStatusFromName(status, rec.status)) {
             load.error =
@@ -379,10 +391,8 @@ SweepRunner::loadJournal(const std::string &path)
                           path.c_str(), i + 1, status.c_str());
             return load;
         }
-        rec.attempt = static_cast<uint32_t>(attempt);
         v.getDouble("wall_s", rec.wallSeconds);
         v.getString("error", rec.error);
-        load.attempts[rec.job]++;
         load.latest[rec.job] = std::move(rec);
     }
     load.ok = true;
@@ -498,13 +508,10 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                 if (it == load.latest.end())
                     continue;
                 const SweepJournalRecord &rec = it->second;
-                if (!replayable(rec.status))
-                    continue;  // TimedOut/Cancelled: re-run fresh
                 SweepOutcome &o = out[i];
                 o.workload = jobs[i].workload;
                 o.kind = jobs[i].cfg.kind;
                 o.status = rec.status;
-                o.attempts = rec.attempt;
                 o.fromJournal = true;
                 o.resultText = rec.resultText;
                 o.result = decodeResult(rec, jobs[i]);
@@ -533,105 +540,42 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                  finished ? done.load() : done.load(), jobs.size());
     };
 
-    const uint32_t maxAttempts = 1 + policy.retries;
-
-    // One job, possibly several attempts. Runs on a worker thread; all
-    // state it touches is the job's own outcome slot plus the
-    // mutex-guarded journal.
+    // One job. Runs on a worker thread; all state it touches is the
+    // job's own outcome slot plus the mutex-guarded journal.
     auto runJob = [&](size_t idx) {
         const SweepJob &job = jobs[idx];
         SweepOutcome &o = out[idx];
         o.workload = job.workload;
         o.kind = job.cfg.kind;
-        // Deterministic per-job jitter: same backoff schedule on every
-        // rerun of the same sweep, different schedules across jobs.
-        Rng jitter(fps[idx] ^ 0x9e3779b97f4a7c15ull);
 
-        for (uint32_t attempt = 1; attempt <= maxAttempts; attempt++) {
-            CancelToken token;
-            token.chainTo(policy.cancel);
-            if (policy.timeoutSeconds > 0)
-                token.setTimeout(policy.timeoutSeconds);
-            WorkloadOptions opts = job.opts;
-            opts.cancel = &token;
+        auto t0 = std::chrono::steady_clock::now();
+        try {
+            o.result = job.runner ? job.runner(job.cfg, job.opts)
+                                  : runWorkload(job.workload, job.cfg,
+                                                job.opts);
+        } catch (const std::exception &e) {
+            // A throwing job must not take the pool down: record a
+            // Failed outcome and keep draining the queue.
+            o.result = failedResult(job, e.what());
+            ISRF_WARN("sweep job '%s' on %s threw: %s",
+                      job.workload.c_str(), job.cfg.name().c_str(),
+                      e.what());
+        } catch (...) {
+            o.result = failedResult(job, "unknown exception");
+            ISRF_WARN("sweep job '%s' on %s threw a non-std exception",
+                      job.workload.c_str(), job.cfg.name().c_str());
+        }
+        o.wallSeconds = secondsSince(t0);
+        o.status = o.result.status;
+        {
+            Profiler::Scope prof(Profiler::instance(), Profiler::Report);
+            o.resultText = resultJson(o.result);
+        }
 
-            auto t0 = std::chrono::steady_clock::now();
-            WorkloadResult r;
-            try {
-                r = job.runner ? job.runner(job.cfg, opts)
-                               : runWorkload(job.workload, job.cfg,
-                                             opts);
-            } catch (const std::exception &e) {
-                // A throwing job must not take the pool down: record
-                // a Failed outcome and keep draining the queue.
-                r = WorkloadResult();
-                r.workload = job.workload;
-                r.kind = job.cfg.kind;
-                r.status = RunStatus::Failed;
-                r.error = e.what();
-                ISRF_WARN("sweep job '%s' on %s threw: %s",
-                          job.workload.c_str(), job.cfg.name().c_str(),
-                          e.what());
-            } catch (...) {
-                r = WorkloadResult();
-                r.workload = job.workload;
-                r.kind = job.cfg.kind;
-                r.status = RunStatus::Failed;
-                r.error = "unknown exception";
-                ISRF_WARN("sweep job '%s' on %s threw a non-std "
-                          "exception", job.workload.c_str(),
-                          job.cfg.name().c_str());
-            }
-            double wall = secondsSince(t0);
-
-            o.result = std::move(r);
-            o.status = o.result.status;
-            o.attempts = attempt;
-            o.wallSeconds += wall;
-            {
-                Profiler::Scope prof(Profiler::instance(),
-                                     Profiler::Report);
-                o.resultText = resultJson(o.result);
-            }
-
-            if (journal.isOpen()) {
-                Profiler::Scope prof(Profiler::instance(),
-                                     Profiler::Journal);
-                std::lock_guard<std::mutex> lock(journalMu);
-                journal.append(attemptRecord(fps[idx], o, attempt,
-                                             wall));
-            }
-
-            // Done / Cancelled / Failed are final; TimedOut / Stalled
-            // may be transient (host overload, tight deadline) and
-            // earn a retry while budget remains.
-            if (o.status != RunStatus::TimedOut &&
-                o.status != RunStatus::Stalled)
-                break;
-            if (attempt == maxAttempts)
-                break;
-            if (policy.cancel && policy.cancel->cancelRequested())
-                break;
-
-            double delay = policy.backoffBaseSeconds *
-                static_cast<double>(1ull << (attempt - 1));
-            delay = std::min(delay, policy.backoffCapSeconds);
-            delay *= 0.5 + jitter.uniform();  // +-50% jitter
-            ISRF_WARN("sweep job '%s' on %s %s (attempt %u/%u); "
-                      "retrying in %.2fs", job.workload.c_str(),
-                      job.cfg.name().c_str(),
-                      runStatusName(o.status), attempt, maxAttempts,
-                      delay);
-            // Sleep in small slices so a sweep-level cancel is not
-            // held up by a long backoff.
-            auto deadline = std::chrono::steady_clock::now() +
-                std::chrono::duration<double>(delay);
-            while (std::chrono::steady_clock::now() < deadline) {
-                if (policy.cancel && policy.cancel->cancelRequested())
-                    break;
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-            }
+        if (journal.isOpen()) {
+            Profiler::Scope prof(Profiler::instance(), Profiler::Journal);
+            std::lock_guard<std::mutex> lock(journalMu);
+            journal.append(jobRecord(fps[idx], o));
         }
     };
 

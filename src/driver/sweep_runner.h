@@ -59,13 +59,10 @@ struct SweepOutcome
     WorkloadResult result;
     double wallSeconds = 0.0;  ///< this job's wall-clock time
     /**
-     * Final job status: result.status for executed jobs (Done /
-     * Stalled / TimedOut / Cancelled), or Failed when the workload
-     * threw (message in result.error).
+     * Final job status: Done, or Failed when the workload threw
+     * (message in result.error).
      */
     RunStatus status = RunStatus::Done;
-    /** Attempts consumed (1 + retries actually used). */
-    uint32_t attempts = 1;
     /** True when replayed from the journal instead of re-simulated. */
     bool fromJournal = false;
     /**
@@ -102,20 +99,12 @@ struct SweepTiming
 };
 
 /**
- * Resilience policy for one sweep (see DESIGN.md §Sweep resilience).
- * The default-constructed policy reproduces the plain run() behavior:
- * no deadline, no retries, no journal.
+ * Journaling policy for one sweep (see DESIGN.md §12). The
+ * default-constructed policy reproduces the plain run() behavior: no
+ * journal.
  */
 struct SweepPolicy
 {
-    /** Per-attempt wall-clock deadline in seconds (0 = none). */
-    double timeoutSeconds = 0.0;
-    /** Extra attempts after a TimedOut/Stalled attempt. */
-    uint32_t retries = 0;
-    /** First retry backoff (doubles per retry, +-50% jitter). */
-    double backoffBaseSeconds = 0.1;
-    /** Backoff ceiling. */
-    double backoffCapSeconds = 5.0;
     /** Journal path ("" = no journal). */
     std::string journalPath;
     /**
@@ -126,17 +115,14 @@ struct SweepPolicy
      * fresh start.
      */
     bool resume = false;
-    /** External whole-sweep cancellation (nullptr = none). */
-    const CancelToken *cancel = nullptr;
 };
 
-/** One journaled attempt record, decoded. */
+/** One journaled job record, decoded. */
 struct SweepJournalRecord
 {
     uint64_t job = 0;          ///< job fingerprint
     std::string workload;
     std::string machine;
-    uint32_t attempt = 1;
     RunStatus status = RunStatus::Done;
     double wallSeconds = 0.0;
     std::string resultText;    ///< raw resultJson bytes
@@ -153,10 +139,12 @@ struct SweepJournalLoad
     bool tornFinalLine = false;    ///< a torn final record was dropped
     size_t tornBytes = 0;          ///< bytes dropped with the torn line
     size_t blankLines = 0;         ///< blank lines the reader skipped
-    /** Latest record per job fingerprint (attempt order = file order). */
+    /**
+     * Latest record per job fingerprint (file order). A job whose
+     * latest record carries a retired status (cancelled, timed_out,
+     * stalled: written by older builds) has no entry, so it re-runs.
+     */
     std::map<uint64_t, SweepJournalRecord> latest;
-    /** Attempts journaled so far per job fingerprint. */
-    std::map<uint64_t, uint32_t> attempts;
 };
 
 /** Fixed-size thread pool running SweepJobs (see file comment). */
@@ -185,12 +173,11 @@ class SweepRunner
                                   ProgressFn progress = nullptr);
 
     /**
-     * Run all jobs under a resilience policy: per-attempt wall-clock
-     * deadlines, bounded retry-with-backoff for TimedOut/Stalled
-     * attempts, per-attempt journaling, and journal replay on resume
-     * (DESIGN.md §Sweep resilience). A stale journal — one whose sweep
-     * fingerprint does not match the submitted matrix — is a fatal()
-     * user error, never silently merged.
+     * Run all jobs once each, journaling every finished job and
+     * replaying journaled jobs on resume (DESIGN.md §12). A stale
+     * journal — one whose sweep fingerprint does not match the
+     * submitted matrix — is a fatal() user error, never silently
+     * merged.
      */
     std::vector<SweepOutcome> run(const std::vector<SweepJob> &jobs,
                                   const SweepPolicy &policy,
@@ -225,21 +212,13 @@ class SweepRunner
     static uint64_t sweepFingerprint(const std::vector<SweepJob> &jobs);
 
     /**
-     * Decode a journal file: header line + per-attempt records. !ok
+     * Decode a journal file: header line + per-job records. !ok
      * covers unreadable files, corrupt interior lines, and malformed
      * headers; a torn final record is dropped and flagged, not an
      * error. Exposed for tests and tooling — run() applies the same
      * logic on --resume.
      */
     static SweepJournalLoad loadJournal(const std::string &path);
-
-    /**
-     * True when a journaled final status may be replayed instead of
-     * re-simulated: Done / Stalled / Failed are deterministic
-     * functions of the fingerprinted inputs; TimedOut / Cancelled
-     * depend on wall-clock conditions and are always re-run.
-     */
-    static bool replayable(RunStatus s);
 
     /** Timing of the most recent run(). */
     const SweepTiming &timing() const { return timing_; }

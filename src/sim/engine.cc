@@ -24,25 +24,6 @@ Engine::clear()
     components_.clear();
     postTickers_.clear();
     now_ = 0;
-    nextDeadlineCheck_ = 0;
-}
-
-RunStatus
-Engine::pollCancel()
-{
-    if (!cancel_)
-        return RunStatus::Done;
-    // The atomic flag is a relaxed load — cheap enough for every
-    // check point. The wall clock is read at most once per
-    // kDeadlineCheckCycles simulated cycles.
-    if (cancel_->cancelRequested())
-        return RunStatus::Cancelled;
-    if (now_ >= nextDeadlineCheck_) {
-        nextDeadlineCheck_ = now_ + kDeadlineCheckCycles;
-        if (cancel_->deadlineExpired())
-            return RunStatus::TimedOut;
-    }
-    return RunStatus::Done;
 }
 
 void
@@ -68,21 +49,6 @@ Engine::runUntil(const std::function<bool()> &done, uint64_t limit)
     const Cycle start = now_;
     while (!done()) {
         uint64_t executed = now_ - start;
-        // Cooperative cancellation/deadline: checked between steps
-        // (after the done() test), so a satisfied predicate always
-        // wins and a run stops at a cycle boundary with a consistent
-        // machine state.
-        RunStatus cs = pollCancel();
-        if (cs != RunStatus::Done) {
-            ISRF_WARN("Engine::runUntil%s%s%s: %s after %llu cycles "
-                      "at cycle %llu",
-                      label_.empty() ? "" : " [",
-                      label_.c_str(), label_.empty() ? "" : "]",
-                      runStatusName(cs),
-                      static_cast<unsigned long long>(executed),
-                      static_cast<unsigned long long>(now_));
-            return {cs, executed};
-        }
         if (executed >= limit) {
             // Dump the tail of the event trace first: a deadlocked
             // model's last grants/stalls are the diagnosis. Use the
@@ -111,9 +77,6 @@ runStatusName(RunStatus status)
     switch (status) {
       case RunStatus::Done: return "done";
       case RunStatus::Limit: return "limit";
-      case RunStatus::Stalled: return "stalled";
-      case RunStatus::TimedOut: return "timed_out";
-      case RunStatus::Cancelled: return "cancelled";
       case RunStatus::Failed: return "failed";
     }
     return "?";
@@ -122,9 +85,8 @@ runStatusName(RunStatus status)
 bool
 runStatusFromName(const std::string &name, RunStatus &out)
 {
-    for (RunStatus s : {RunStatus::Done, RunStatus::Limit,
-                        RunStatus::Stalled, RunStatus::TimedOut,
-                        RunStatus::Cancelled, RunStatus::Failed}) {
+    for (RunStatus s :
+         {RunStatus::Done, RunStatus::Limit, RunStatus::Failed}) {
         if (name == runStatusName(s)) {
             out = s;
             return true;

@@ -80,8 +80,9 @@ class Profiler
 
     /**
      * The process-global aggregate (CLI shim, like Tracer::instance()).
-     * First call parses ISRF_PROFILE (warn-and-default on a malformed
-     * value). Per-machine profiles are merged into it at workload
+     * It reads no environment: the bench argument parser configures
+     * it from a MachineConfig::fromEnv() snapshot, perfbench with
+     * configure(). Per-machine profiles are merged into it at workload
      * harvest; the sweep runner's journal/report scopes record here
      * directly. All mutation is relaxed-atomic, so concurrent sweep
      * workers need no lock.

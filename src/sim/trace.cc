@@ -6,7 +6,7 @@
 #include <mutex>
 #include <sstream>
 
-#include "util/env.h"
+#include "util/json.h"
 #include "util/log.h"
 
 namespace isrf {
@@ -57,53 +57,12 @@ typeName(TraceEventType t)
     return "?";
 }
 
-/** Minimal JSON string escaping for event/channel names. */
-std::string
-jsonEscape(const char *s)
-{
-    std::string out;
-    for (const char *p = s; *p; p++) {
-        switch (*p) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(*p) < 0x20)
-                out += strprintf("\\u%04x", *p);
-            else
-                out.push_back(*p);
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 Tracer &
 Tracer::instance()
 {
-    // The CLI shim keeps the historical behavior of configuring itself
-    // from the environment on first use; per-machine tracers are
-    // configured explicitly from MachineConfig instead.
     static Tracer t;
-    static bool envApplied = [] {
-        std::vector<std::string> errs;
-        uint64_t cap =
-            envU64("ISRF_TRACE_CAPACITY", kDefaultCapacity, &errs);
-        if (cap == 0) {
-            errs.push_back("ISRF_TRACE_CAPACITY=0 is invalid; using "
-                           "default");
-            cap = kDefaultCapacity;
-        }
-        t.setCapacity(cap);
-        std::string spec = envStr("ISRF_TRACE");
-        if (!spec.empty())
-            t.enableChannels(spec);
-        warnEnvErrors(errs);
-        return true;
-    }();
-    (void)envApplied;
     return t;
 }
 
@@ -283,13 +242,13 @@ Tracer::chromeJson() const
         first = false;
         out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
             << "\"tid\":" << c << ",\"args\":{\"name\":\""
-            << jsonEscape(channels_[c].name.c_str()) << "\"}}";
+            << JsonWriter::escape(channels_[c].name) << "\"}}";
     }
     for (const TraceEvent &e : lastEvents(count_)) {
         if (!first)
             out << ",";
         first = false;
-        out << "{\"name\":\"" << jsonEscape(e.name) << "\",\"ph\":\""
+        out << "{\"name\":\"" << JsonWriter::escape(e.name) << "\",\"ph\":\""
             << typeName(e.type) << "\",\"ts\":" << e.ts
             << ",\"pid\":0,\"tid\":" << e.channel;
         if (e.type == TraceEventType::Counter)
@@ -318,32 +277,16 @@ Tracer::csv() const
     return out.str();
 }
 
-namespace {
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    size_t n = std::fwrite(content.data(), 1, content.size(), f);
-    bool ok = n == content.size();
-    ok = std::fclose(f) == 0 && ok;
-    return ok;
-}
-
-} // namespace
-
 bool
 Tracer::writeChromeJson(const std::string &path) const
 {
-    return writeFile(path, chromeJson());
+    return writeTextFile(path, chromeJson());
 }
 
 bool
 Tracer::writeCsv(const std::string &path) const
 {
-    return writeFile(path, csv());
+    return writeTextFile(path, csv());
 }
 
 void

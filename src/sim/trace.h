@@ -75,10 +75,10 @@ class Tracer
     Tracer &operator=(const Tracer &) = delete;
 
     /**
-     * The global tracer (CLI shim). First call parses ISRF_TRACE and
-     * ISRF_TRACE_CAPACITY with validated parsing (bad values warn and
-     * fall back to defaults). Construction is thread-safe; concurrent
-     * mutation is only safe through mergeFrom().
+     * The global tracer (CLI shim). Like any Tracer it reads no
+     * environment: the bench argument parser configures it from a
+     * MachineConfig::fromEnv() snapshot. Construction is thread-safe;
+     * concurrent mutation is only safe through mergeFrom().
      */
     static Tracer &instance();
 

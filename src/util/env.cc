@@ -45,27 +45,6 @@ parseI64(const std::string &text, int64_t &out)
     return true;
 }
 
-bool
-parseF64(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    // strtod accepts leading whitespace, "inf", "nan", and hex floats;
-    // restrict to plain decimal notation up front.
-    for (char c : text) {
-        if ((c < '0' || c > '9') && c != '.' && c != '-' && c != '+' &&
-            c != 'e' && c != 'E')
-            return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (errno == ERANGE || end != text.c_str() + text.size())
-        return false;
-    out = v;
-    return true;
-}
-
 uint64_t
 envU64(const char *name, uint64_t def, std::vector<std::string> *errs)
 {

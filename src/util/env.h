@@ -32,13 +32,6 @@ bool parseU64(const std::string &text, uint64_t &out);
 bool parseI64(const std::string &text, int64_t &out);
 
 /**
- * Strictly parse a finite decimal floating-point number: no trailing
- * junk, no inf/nan, no hex floats. @return false (out untouched) on
- * any violation.
- */
-bool parseF64(const std::string &text, double &out);
-
-/**
  * Read an environment variable as a u64. On unset, returns `def`.
  * On a malformed or overflowing value, appends a description to
  * `errs` and returns `def` (warn-and-default; never fatal).

@@ -216,7 +216,6 @@ runFft2dSized(const MachineConfig &machineCfg, const WorkloadOptions &opts,
         cfg.inLaneSeparation = opts.separationOverride;
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
 
     WorkloadResult res;
     res.workload = "FFT 2D";
@@ -417,13 +416,7 @@ runFft2dSized(const MachineConfig &machineCfg, const WorkloadOptions &opts,
     }
 
     uint64_t cycles = prog.run();
-    res.status = prog.lastStatus();
     harvestResult(res, m, cycles);
-    if (res.status != RunStatus::Done) {
-        // Interrupted run (deadline/cancel): the functional
-        // output is incomplete, so skip the reference validation.
-        return res;
-    }
 
     // --- validation against the independent reference ---
     std::vector<Cplx> got =

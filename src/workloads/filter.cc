@@ -126,7 +126,6 @@ runFilter(const MachineConfig &machineCfg, const WorkloadOptions &opts)
         cfg.inLaneSeparation = opts.separationOverride;
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
 
     WorkloadResult res;
     res.workload = "Filter";
@@ -285,13 +284,7 @@ runFilter(const MachineConfig &machineCfg, const WorkloadOptions &opts)
     }
 
     uint64_t cycles = prog.run();
-    res.status = prog.lastStatus();
     harvestResult(res, m, cycles);
-    if (res.status != RunStatus::Done) {
-        // Interrupted run (deadline/cancel): the functional
-        // output is incomplete, so skip the reference validation.
-        return res;
-    }
 
     std::vector<float> got = wordsToFloats(
         m.mem().dram().dump(outAddr, static_cast<uint64_t>(n) * n));

@@ -78,7 +78,6 @@ runHistogram(const MachineConfig &machineCfg, const WorkloadOptions &opts)
         cfg.inLaneSeparation = opts.separationOverride;
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
 
     WorkloadResult res;
     res.workload = "Histogram";
@@ -186,13 +185,7 @@ runHistogram(const MachineConfig &machineCfg, const WorkloadOptions &opts)
     }
 
     uint64_t cycles = prog.run();
-    res.status = prog.lastStatus();
     harvestResult(res, m, cycles);
-    if (res.status != RunStatus::Done) {
-        // Interrupted run (deadline/cancel): the functional
-        // output is incomplete, so skip the reference validation.
-        return res;
-    }
 
     // The lane tables (PerLane dump = lane-major) must sum to exactly
     // repeats x the reference histogram.

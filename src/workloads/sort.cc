@@ -138,7 +138,6 @@ runSort(const MachineConfig &machineCfg, const WorkloadOptions &opts)
         cfg.inLaneSeparation = opts.separationOverride;
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
 
     WorkloadResult res;
     res.workload = "Sort";
@@ -242,13 +241,7 @@ runSort(const MachineConfig &machineCfg, const WorkloadOptions &opts)
     }
 
     uint64_t cycles = prog.run();
-    res.status = prog.lastStatus();
     harvestResult(res, m, cycles);
-    if (res.status != RunStatus::Done) {
-        // Interrupted run (deadline/cancel): the functional
-        // output is incomplete, so skip the reference validation.
-        return res;
-    }
 
     std::vector<Word> got = m.mem().dram().dump(outAddr, total);
     std::vector<Word> ref = input;

@@ -163,7 +163,6 @@ runSpmvCsr(const std::string &name, const CsrMatrix &csr,
     }
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
 
     WorkloadResult res;
     res.workload = name;
@@ -385,13 +384,7 @@ runSpmvCsr(const std::string &name, const CsrMatrix &csr,
     }
 
     uint64_t cycles = prog.run();
-    res.status = prog.lastStatus();
     harvestResult(res, m, cycles);
-    if (res.status != RunStatus::Done) {
-        // Interrupted run (deadline/cancel): the functional
-        // output is incomplete, so skip the reference validation.
-        return res;
-    }
 
     std::vector<float> got = wordsToFloats(
         m.mem().dram().dump(yAddr, csr.rows));

@@ -170,7 +170,6 @@ runStencil(const std::string &name, const MachineConfig &machineCfg,
         cfg.inLaneSeparation = opts.separationOverride;
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
 
     WorkloadResult res;
     res.workload = sh.name;
@@ -363,13 +362,7 @@ runStencil(const std::string &name, const MachineConfig &machineCfg,
     }
 
     uint64_t cycles = prog.run();
-    res.status = prog.lastStatus();
     harvestResult(res, m, cycles);
-    if (res.status != RunStatus::Done) {
-        // Interrupted run (deadline/cancel): the functional
-        // output is incomplete, so skip the reference validation.
-        return res;
-    }
 
     std::vector<float> got = wordsToFloats(
         m.mem().dram().dump(outAddr, img.size()));

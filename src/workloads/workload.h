@@ -40,11 +40,9 @@ struct WorkloadResult
     /** Functional output matched the reference implementation. */
     bool correct = false;
     /**
-     * How the simulation ended: Done for a completed run; Stalled
-     * (ended without finishing), TimedOut (deadline) or Cancelled
-     * when the drive loop stopped early (validation is skipped,
-     * correct=false); Failed when the workload threw (set by the
-     * sweep driver, with the exception message in `error`).
+     * How the job ended: Done for a completed run; Failed when the
+     * workload threw (set by the sweep driver, with the exception
+     * message in `error`).
      */
     RunStatus status = RunStatus::Done;
     /** Human-readable failure detail (Failed outcomes); else empty. */
@@ -65,13 +63,6 @@ struct WorkloadOptions
     uint64_t seed = 12345;
     /** Override the machine's address/data separation (0 = default). */
     uint32_t separationOverride = 0;
-    /**
-     * Cooperative cancellation / wall-clock deadline observed by the
-     * run (Engine::setCancel); nullptr = never cancelled. Not part of
-     * the simulation outcome for completed runs: a Done result is
-     * identical with or without a (untripped) token.
-     */
-    const CancelToken *cancel = nullptr;
 };
 
 /** Signature of a workload runner. */

@@ -15,7 +15,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -217,7 +216,7 @@ TEST(EnvSnapshot, InvalidValuesWarnAndDefault)
 }
 
 // ----------------------------------------------------------------------
-// Sweep resilience (DESIGN.md §Sweep resilience)
+// Sweep journaling and resume (DESIGN.md §12)
 // ----------------------------------------------------------------------
 
 /** Temp journal path removed on scope exit. */
@@ -236,72 +235,6 @@ class TempJournal
   private:
     std::string path_;
 };
-
-/** A component that does nothing, so the engine has one to tick. */
-struct Spinner : Ticked
-{
-    void tick(Cycle) override {}
-    std::string tickedName() const override { return "spinner"; }
-};
-
-/** Runner that never terminates on its own: only a token stops it. */
-WorkloadResult
-hangRunner(const MachineConfig &cfg, const WorkloadOptions &opts)
-{
-    WorkloadResult res;
-    res.workload = "Hang";
-    res.kind = cfg.kind;
-    Engine eng;
-    Spinner spin;
-    eng.add(&spin);
-    eng.setCancel(opts.cancel);
-    RunResult r = eng.runUntil([] { return false; }, 1ull << 40);
-    res.status = r.status;
-    res.cycles = r.cycles;
-    return res;
-}
-
-SweepJob
-hangJob()
-{
-    SweepJob j;
-    j.workload = "Hang";
-    j.cfg = MachineConfig::make(MachineKind::Base);
-    j.runner = hangRunner;
-    return j;
-}
-
-TEST(SweepResilience, TimeoutUnhangsAJob)
-{
-    SweepPolicy policy;
-    policy.timeoutSeconds = 0.2;
-    SweepRunner runner(1);
-    auto out = runner.run({hangJob()}, policy);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].status, RunStatus::TimedOut);
-    EXPECT_EQ(out[0].attempts, 1u);
-    EXPECT_GT(out[0].result.cycles, 0u);
-    EXPECT_LT(out[0].wallSeconds, 30.0)
-        << "the deadline must actually bound the attempt";
-}
-
-TEST(SweepResilience, SweepCancelStopsJobsAndNeverHangsThePool)
-{
-    // A pre-cancelled sweep token: every job observes it at its first
-    // poll point and returns Cancelled without simulating anything.
-    CancelToken cancel;
-    cancel.cancel();
-    SweepPolicy policy;
-    policy.cancel = &cancel;
-    SweepRunner runner(2);
-    auto out = runner.run({hangJob(), hangJob()}, policy);
-    ASSERT_EQ(out.size(), 2u);
-    for (const auto &o : out) {
-        EXPECT_EQ(o.status, RunStatus::Cancelled);
-        EXPECT_EQ(o.result.cycles, 0u)
-            << "a pre-cancelled run must stop before the first step";
-    }
-}
 
 TEST(SweepResilience, ThrowingJobBecomesFailedAndPoolKeepsDraining)
 {
@@ -327,69 +260,10 @@ TEST(SweepResilience, ThrowingJobBecomesFailedAndPoolKeepsDraining)
     EXPECT_EQ(out[0].status, RunStatus::Failed);
     EXPECT_EQ(out[0].result.status, RunStatus::Failed);
     EXPECT_EQ(out[0].result.error, "synthetic workload failure");
-    EXPECT_EQ(out[0].attempts, 1u)
-        << "exceptions are deterministic: no retry";
     for (size_t i = 1; i < out.size(); i++) {
         EXPECT_EQ(out[i].status, RunStatus::Done) << i;
         EXPECT_TRUE(out[i].result.correct) << i;
     }
-}
-
-TEST(SweepResilience, RetriesStalledJobsWithBoundedAttempts)
-{
-    // Succeeds on the third attempt; retries must be journaled per
-    // attempt and the final outcome must report attempts used.
-    auto flaky = std::make_shared<std::atomic<uint32_t>>(0);
-    SweepJob job;
-    job.workload = "Flaky";
-    job.cfg = MachineConfig::make(MachineKind::Base);
-    job.runner = [flaky](const MachineConfig &cfg,
-                         const WorkloadOptions &) {
-        WorkloadResult r;
-        r.workload = "Flaky";
-        r.kind = cfg.kind;
-        r.status = ++*flaky < 3 ? RunStatus::Stalled : RunStatus::Done;
-        r.correct = r.status == RunStatus::Done;
-        return r;
-    };
-
-    TempJournal journal("retry");
-    SweepPolicy policy;
-    policy.retries = 3;
-    policy.backoffBaseSeconds = 0.001;
-    policy.backoffCapSeconds = 0.01;
-    policy.journalPath = journal.path();
-    SweepRunner runner(1);
-    auto out = runner.run({job}, policy);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].status, RunStatus::Done);
-    EXPECT_EQ(out[0].attempts, 3u);
-    EXPECT_EQ(flaky->load(), 3u);
-
-    // Journal: one header + one record per attempt.
-    JsonlReadResult rec = readJsonl(journal.path());
-    ASSERT_TRUE(rec.ok()) << rec.error;
-    ASSERT_EQ(rec.records.size(), 4u);
-
-    // Retries exhausted: final status is the last failure.
-    auto exhausted = std::make_shared<std::atomic<uint32_t>>(0);
-    SweepJob hopeless = job;
-    hopeless.runner = [exhausted](const MachineConfig &cfg,
-                                  const WorkloadOptions &) {
-        WorkloadResult r;
-        r.workload = "Flaky";
-        r.kind = cfg.kind;
-        r.status = RunStatus::Stalled;
-        ++*exhausted;
-        return r;
-    };
-    SweepPolicy two;
-    two.retries = 1;
-    two.backoffBaseSeconds = 0.001;
-    auto out2 = runner.run({hopeless}, two);
-    EXPECT_EQ(out2[0].status, RunStatus::Stalled);
-    EXPECT_EQ(out2[0].attempts, 2u);
-    EXPECT_EQ(exhausted->load(), 2u);
 }
 
 TEST(SweepResilience, ResumeReplaysJournaledJobsWithoutReExecution)
@@ -470,6 +344,93 @@ TEST(SweepResilience, PartialJournalRunsOnlyTheMissingJobs)
     // run replays everything.
     runner.run(jobs, policy);
     EXPECT_EQ(runner.timing().replayed, 2u);
+}
+
+/** A journal record as older builds wrote it, attempt counter and all. */
+std::string
+oldJobRecord(const SweepJob &job, uint32_t attempt, const char *status,
+             const std::string &resultText)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.field("type", std::string("attempt"));
+    w.field("job", SweepRunner::fingerprint(job));
+    w.field("workload", job.workload);
+    w.field("machine", std::string(machineKindName(job.cfg.kind)));
+    w.field("attempt", static_cast<uint64_t>(attempt));
+    w.field("status", std::string(status));
+    w.field("wall_s", 0.5);
+    w.field("error", std::string());
+    w.key("result").raw(resultText);
+    w.endObject();
+    return w.str();
+}
+
+TEST(SweepResilience, RetiredStatusesInAnOldJournalReRun)
+{
+    // A journal from a build with deadlines, retries and Ctrl-C
+    // cancellation: records carry an attempt counter and may end
+    // cancelled, timed_out or stalled. Resume must replay the done
+    // jobs and re-run exactly the others.
+    WorkloadOptions opts;
+    opts.repeats = 1;
+    auto jobs = SweepRunner::matrix(
+        {"Sort", "Filter"}, {MachineKind::Base, MachineKind::ISRF1},
+        opts);
+    SweepRunner runner(2);
+    auto ref = runner.run(jobs);
+    ASSERT_EQ(ref.size(), 4u);
+
+    // An unfinished job's record holds whatever its run had harvested.
+    auto partial = [&](size_t i) {
+        WorkloadResult r;
+        r.workload = jobs[i].workload;
+        r.kind = jobs[i].cfg.kind;
+        return resultJson(r);
+    };
+
+    TempJournal journal("retired");
+    {
+        JsonWriter head;
+        head.beginObject();
+        head.field("type", std::string("header"));
+        head.field("version", static_cast<uint64_t>(1));
+        head.field("sweep", SweepRunner::sweepFingerprint(jobs));
+        head.field("jobs", static_cast<uint64_t>(jobs.size()));
+        head.endObject();
+        JsonlWriter w;
+        ASSERT_TRUE(w.open(journal.path(), false));
+        ASSERT_TRUE(w.append(head.str()));
+        ASSERT_TRUE(w.append(
+            oldJobRecord(jobs[0], 1, "done", ref[0].resultText)));
+        ASSERT_TRUE(
+            w.append(oldJobRecord(jobs[1], 1, "cancelled", partial(1))));
+        ASSERT_TRUE(
+            w.append(oldJobRecord(jobs[2], 1, "stalled", partial(2))));
+        ASSERT_TRUE(w.append(
+            oldJobRecord(jobs[2], 2, "done", ref[2].resultText)));
+        ASSERT_TRUE(
+            w.append(oldJobRecord(jobs[3], 1, "timed_out", partial(3))));
+    }
+
+    SweepPolicy policy;
+    policy.journalPath = journal.path();
+    policy.resume = true;
+    auto out = runner.run(jobs, policy);
+    ASSERT_EQ(out.size(), 4u);
+    const bool replayed[] = {true, false, true, false};
+    for (size_t i = 0; i < 4; i++) {
+        EXPECT_EQ(out[i].fromJournal, replayed[i]) << i;
+        EXPECT_EQ(out[i].status, RunStatus::Done) << i;
+        EXPECT_EQ(out[i].resultText, ref[i].resultText)
+            << "resumed sweep must serialize like an uninterrupted one";
+    }
+    EXPECT_EQ(runner.timing().replayed, 2u);
+
+    // The re-run jobs were journaled as done: a second resume replays
+    // all four.
+    runner.run(jobs, policy);
+    EXPECT_EQ(runner.timing().replayed, 4u);
 }
 
 TEST(SweepResilienceDeathTest, StaleJournalIsRejectedNotMerged)
@@ -623,7 +584,10 @@ TEST(SweepResilience, FingerprintSeparatesExperiments)
     // A custom runner cannot be attested by name: it must not collide
     // with the registry job of the same (workload, cfg, opts).
     other = base;
-    other.runner = hangRunner;
+    other.runner = [](const MachineConfig &cfg,
+                      const WorkloadOptions &o) {
+        return runWorkload("Sort", cfg, o);
+    };
     EXPECT_NE(SweepRunner::fingerprint(base),
               SweepRunner::fingerprint(other));
 
@@ -717,15 +681,6 @@ TEST(SweepResilience, LoadJournalDiagnosesBadFiles)
     EXPECT_FALSE(load.ok);
     EXPECT_NE(load.error.find("header"), std::string::npos)
         << load.error;
-}
-
-TEST(SweepResilience, ReplayPolicyReRunsWallClockDependentStatuses)
-{
-    EXPECT_TRUE(SweepRunner::replayable(RunStatus::Done));
-    EXPECT_TRUE(SweepRunner::replayable(RunStatus::Stalled));
-    EXPECT_TRUE(SweepRunner::replayable(RunStatus::Failed));
-    EXPECT_FALSE(SweepRunner::replayable(RunStatus::TimedOut));
-    EXPECT_FALSE(SweepRunner::replayable(RunStatus::Cancelled));
 }
 
 TEST(EnvSnapshot, ParseU64RejectsGarbage)

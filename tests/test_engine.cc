@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the tick engine (stepping, clear(), cooperative
- * cancellation and deadlines), breakdown arithmetic and trace
- * utilities.
+ * Tests for the tick engine (stepping, clear(), run limits),
+ * breakdown arithmetic and trace utilities.
  */
 #include <gtest/gtest.h>
 
@@ -77,7 +76,7 @@ TEST(Engine, RunStatusNames)
 {
     EXPECT_STREQ(runStatusName(RunStatus::Done), "done");
     EXPECT_STREQ(runStatusName(RunStatus::Limit), "limit");
-    EXPECT_STREQ(runStatusName(RunStatus::Stalled), "stalled");
+    EXPECT_STREQ(runStatusName(RunStatus::Failed), "failed");
 }
 
 TEST(Engine, NullComponentPanics)
@@ -98,150 +97,6 @@ TEST(EngineClear, UnregistersComponentsAndRewindsClock)
     EXPECT_EQ(e.now(), 0u);
     e.steps(3);
     EXPECT_EQ(a.ticks, 5u) << "cleared components must not be ticked";
-}
-
-// ----------------------------------------------------------------------
-// Cooperative cancellation / deadline
-// ----------------------------------------------------------------------
-
-TEST(EngineCancel, PreCancelledTokenStopsBeforeTheFirstStep)
-{
-    // Cancellation is observed at cycle boundaries only; a token that
-    // is already tripped must stop the run at cycle 0.
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
-    CancelToken token;
-    token.cancel();
-    e.setCancel(&token);
-    RunResult r = e.runUntil([] { return false; }, 1000);
-    EXPECT_EQ(r.status, RunStatus::Cancelled);
-    EXPECT_EQ(r.cycles, 0u);
-    EXPECT_EQ(c.ticks, 0u);
-    EXPECT_EQ(e.now(), 0u);
-}
-
-TEST(EngineCancel, ExpiredDeadlineReportsTimedOut)
-{
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
-    CancelToken token;
-    token.setTimeout(1e-9);  // expires immediately
-    e.setCancel(&token);
-    RunResult r = e.runUntil([] { return false; }, 1000);
-    EXPECT_EQ(r.status, RunStatus::TimedOut);
-    EXPECT_EQ(r.cycles, 0u);
-}
-
-/** Arms an already-due deadline on `token` when it ticks cycle `at`. */
-struct DeadlineArmer : Ticked
-{
-    CancelToken *token = nullptr;
-    Cycle at = 0;
-    void
-    tick(Cycle now) override
-    {
-        if (now == at)
-            token->setTimeout(1e-9);
-    }
-    std::string tickedName() const override { return "armer"; }
-};
-
-TEST(EngineCancel, DeadlineExpiringMidRunIsSeenAtTheNextCheck)
-{
-    // The wall clock is read once per kDeadlineCheckCycles, so a
-    // deadline that expires mid-run stops the run at the next check.
-    Engine e;
-    CancelToken token;
-    DeadlineArmer armer;
-    armer.token = &token;
-    armer.at = 100;
-    e.add(&armer);
-    e.setCancel(&token);
-    RunResult r = e.runUntil([] { return false; },
-                             4 * Engine::kDeadlineCheckCycles);
-    EXPECT_EQ(r.status, RunStatus::TimedOut);
-    EXPECT_EQ(r.cycles, Engine::kDeadlineCheckCycles);
-}
-
-TEST(EngineCancel, CancellationWinsOverDeadline)
-{
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
-    CancelToken token;
-    token.cancel();
-    token.setTimeout(1e-9);
-    e.setCancel(&token);
-    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
-              RunStatus::Cancelled);
-}
-
-TEST(EngineCancel, FinishedRunIsNeverReportedCancelled)
-{
-    // The predicate is checked before the token: a run that is already
-    // done must return Done even under a tripped token.
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
-    CancelToken token;
-    token.cancel();
-    e.setCancel(&token);
-    RunResult r = e.runUntil([] { return true; }, 1000);
-    EXPECT_EQ(r.status, RunStatus::Done);
-}
-
-TEST(EngineCancel, UntrippedTokenDoesNotPerturbResults)
-{
-    // A workload run under a generous (never-expiring) deadline must
-    // be byte-identical to one run with no token at all — the
-    // resilience layer is invisible to healthy runs.
-    WorkloadOptions plain;
-    plain.repeats = 1;
-    MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
-    WorkloadResult bare = runWorkload("Sort", cfg, plain);
-
-    CancelToken token;
-    token.setTimeout(3600.0);
-    WorkloadOptions guarded = plain;
-    guarded.cancel = &token;
-    WorkloadResult watched = runWorkload("Sort", cfg, guarded);
-
-    EXPECT_TRUE(watched.correct);
-    EXPECT_EQ(resultJson(bare), resultJson(watched));
-}
-
-TEST(EngineCancel, ChainedTokenPropagatesParentCancel)
-{
-    CancelToken parent, child;
-    child.chainTo(&parent);
-    EXPECT_FALSE(child.cancelRequested());
-    parent.cancel();
-    EXPECT_TRUE(child.cancelRequested());
-
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
-    e.setCancel(&child);
-    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
-              RunStatus::Cancelled);
-}
-
-TEST(EngineCancel, DetachingTheTokenRestoresPlainRuns)
-{
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
-    CancelToken token;
-    token.cancel();
-    e.setCancel(&token);
-    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
-              RunStatus::Cancelled);
-    e.setCancel(nullptr);
-    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
-              RunStatus::Limit);
-    EXPECT_EQ(c.ticks, 10u);
 }
 
 TEST(Breakdown, TotalsAndAccumulate)

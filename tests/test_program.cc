@@ -205,7 +205,6 @@ copyThroughSrf(Machine &m, const std::vector<Word> &data, uint64_t dst)
     prog.kernel(test::makeCopyInvocation(m, &g, in, out, data));
     prog.store(out, dst);
     prog.run();
-    EXPECT_EQ(prog.lastStatus(), RunStatus::Done);
     return m.srf().slotConfig(in).base;
 }
 
@@ -359,7 +358,6 @@ runLoadKernelStore(int duplicateEdges, std::vector<Cycle> *kernelStarts,
     }
     IssueProbe probe(m);
     uint64_t cycles = prog.run(1u << 20);
-    EXPECT_EQ(prog.lastStatus(), RunStatus::Done);
     EXPECT_EQ(m.mem().dram().dump(8192, data.size()), data);
     *kernelStarts = probe.kernelStarts();
     *loadDone = kNoEvent;
@@ -417,7 +415,6 @@ runLoadsAndKernelChain(MachineKind kind)
     }
     prog.store(prev, 1 << 16);
     uint64_t cycles = prog.run();
-    EXPECT_EQ(prog.lastStatus(), RunStatus::Done);
     EXPECT_EQ(m.mem().dram().dump(1 << 16, kWords), data);
     for (int i = 1; i < kLoads; i++)
         EXPECT_EQ(prog.dumpStream(loaded[i]),
