@@ -1,5 +1,8 @@
 #include "core/config.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -59,7 +62,6 @@ MachineConfig &
 MachineConfig::fromEnv()
 {
     std::vector<std::string> errs;
-    statSampleInterval = envU64("ISRF_SAMPLE", statSampleInterval, &errs);
     std::string traceEnv = envStr("ISRF_TRACE");
     if (!traceEnv.empty())
         traceSpec = traceEnv == "0" ? "" : traceEnv;
@@ -72,6 +74,18 @@ MachineConfig::fromEnv()
                                  static_cast<unsigned long long>(
                                      uint64_t{1} << 16)));
         traceCapacity = 1 << 16;
+    }
+    // Any other ISRF_* variable is a typo or a retired knob: say so
+    // rather than ignore it silently.
+    static const char *const kRead[] = {"ISRF_TRACE", "ISRF_TRACE_CAPACITY",
+                                        "ISRF_PROFILE"};
+    for (char **e = environ; *e; e++) {
+        std::string kv = *e;
+        std::string name = kv.substr(0, kv.find('='));
+        if (name.rfind("ISRF_", 0) == 0 &&
+            std::find(std::begin(kRead), std::end(kRead), name) ==
+                std::end(kRead))
+            errs.push_back(name + " is not a known setting");
     }
     warnEnvErrors(errs);
     return *this;

@@ -70,12 +70,6 @@ struct MachineConfig
      */
     double commOccupancy = 0.0;
 
-    /**
-     * Snapshot machine stats every N cycles into the StatSampler
-     * (0 = sampling off). fromEnv() overlays ISRF_SAMPLE here.
-     */
-    uint64_t statSampleInterval = 0;
-
     /** Unread; see EngineMode. */
     EngineMode engineMode = EngineMode::Dense;
 
@@ -113,13 +107,15 @@ struct MachineConfig
     static MachineConfig cacheCfg() { return make(MachineKind::Cache); }
 
     /**
-     * Overlay the ISRF_* environment overrides (ISRF_SAMPLE,
-     * ISRF_TRACE, ISRF_TRACE_CAPACITY, ISRF_PROFILE) onto this config
-     * and return it. This is the ONE place the environment is
-     * consulted: Machine::init reads only the config it is handed, so
-     * machines built in the same process can never observe each
-     * other's configuration. Malformed numeric values are collected
-     * and reported in a single warning, then defaulted.
+     * Overlay the ISRF_* environment overrides (ISRF_TRACE,
+     * ISRF_TRACE_CAPACITY, ISRF_PROFILE) onto this config and return
+     * it. This is the ONE place the environment is consulted:
+     * Machine::init reads only the config it is handed, so machines
+     * built in the same process can never observe each other's
+     * configuration. Malformed numeric values are collected and
+     * reported in a single warning, then defaulted; the same warning
+     * names every other set ISRF_* variable (a typo or a retired
+     * knob), which is ignored.
      */
     MachineConfig &fromEnv();
 

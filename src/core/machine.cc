@@ -10,9 +10,9 @@ Machine::init(const MachineConfig &cfg)
     cfg.validate();
     cfg_ = cfg;
     // Re-initialization safety: drop every engine registration first.
-    // A second init() used to leave the engine holding dangling
-    // pointers to the sampler destroyed below (and a stale clock);
-    // clear() is the one sanctioned way to rebuild.
+    // Without it a second init() would register this machine twice
+    // and keep the old clock; clear() is the one sanctioned way to
+    // rebuild.
     engine_.clear();
     active_.reset();
     activeOutputs_.clear();
@@ -45,50 +45,8 @@ Machine::init(const MachineConfig &cfg)
     rng_.reseed(cfg.seed * 7919 + 13);
     engine_.add(this);
     traceCh_ = tracer_.channel("machine");
-    initSampler();
     breakdown_.reset();
     kernelBw_.clear();
-}
-
-void
-Machine::initSampler()
-{
-    uint64_t interval = cfg_.statSampleInterval;
-    if (interval == 0) {
-        sampler_.reset();
-        return;
-    }
-    sampler_ = std::make_unique<StatSampler>(interval);
-    sampler_->setTracer(&tracer_);
-    sampler_->addGroup(&srf_.stats());
-    sampler_->addGroup(&mem_.stats());
-    sampler_->addCounterFn("dram.words",
-        [this]() { return mem_.dram().wordsTransferred(); });
-    sampler_->addCounterFn("dram.row_hits",
-        [this]() { return mem_.dram().rowHits(); });
-    sampler_->addCounterFn("dram.row_misses",
-        [this]() { return mem_.dram().rowMisses(); });
-    sampler_->addCounterFn("cache.hits",
-        [this]() { return mem_.cache().hits(); });
-    sampler_->addCounterFn("cache.misses",
-        [this]() { return mem_.cache().misses(); });
-    sampler_->addGauge("mem.in_flight",
-        [this]() { return static_cast<double>(mem_.inFlight()); });
-    sampler_->addGauge("srf.remote_queue_depth",
-        [this]() {
-            return static_cast<double>(srf_.maxRemoteQueueDepth());
-        });
-    sampler_->addGauge("cluster.busy_frac", [this]() {
-        uint32_t busy = 0;
-        for (const auto &c : clusters_)
-            if (c.lastCat() != CycleCat::Idle)
-                busy++;
-        return clusters_.empty() ? 0.0
-            : static_cast<double>(busy) /
-              static_cast<double>(clusters_.size());
-    });
-    // Register last so it samples after every component has ticked.
-    engine_.add(sampler_.get());
 }
 
 KernelSchedule

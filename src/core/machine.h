@@ -20,7 +20,6 @@
 #include "mem/memory_system.h"
 #include "sim/engine.h"
 #include "sim/profiler.h"
-#include "sim/stat_sampler.h"
 #include "sim/trace.h"
 #include "util/random.h"
 
@@ -146,16 +145,8 @@ class Machine : public Ticked
     /** Zero breakdown/bandwidth/DRAM statistics (not machine state). */
     void resetStats();
 
-    /**
-     * Interval stat sampler; non-null only when sampling is enabled
-     * (cfg.statSampleInterval or the ISRF_SAMPLE environment variable).
-     */
-    StatSampler *sampler() { return sampler_.get(); }
-    const StatSampler *sampler() const { return sampler_.get(); }
-
   private:
     void finishKernelIfDone(Cycle now);
-    void initSampler();
 
     MachineConfig cfg_;
     Tracer tracer_;
@@ -169,7 +160,6 @@ class Machine : public Ticked
     ModuloScheduler scheduler_;
     Rng rng_;
 
-    std::unique_ptr<StatSampler> sampler_;
     RunStatus lastRunStatus_ = RunStatus::Done;
 
     std::shared_ptr<KernelInvocation> active_;

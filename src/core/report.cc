@@ -239,25 +239,6 @@ machineReportJson(Machine &m, const ReportOptions &opts)
         w.endObject();
     }
 
-    if (m.sampler() && !m.sampler()->intervals().empty()) {
-        w.key("samples").beginArray();
-        for (const StatInterval &iv : m.sampler()->intervals()) {
-            w.beginObject();
-            w.field("start", static_cast<uint64_t>(iv.start));
-            w.field("end", static_cast<uint64_t>(iv.end));
-            w.key("deltas").beginObject();
-            for (const auto &kv : iv.deltas)
-                w.field(kv.first, kv.second);
-            w.endObject();
-            w.key("gauges").beginObject();
-            for (const auto &kv : iv.gauges)
-                w.field(kv.first, kv.second);
-            w.endObject();
-            w.endObject();
-        }
-        w.endArray();
-    }
-
     // Present only when this machine was profiled (see machineReport).
     if (m.profiler().enabled() && m.profiler().hasData()) {
         w.key("profile");

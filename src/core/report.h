@@ -32,9 +32,9 @@ std::string machineReport(Machine &m, const ReportOptions &opts = {});
  * The same report as machineReport(), as a JSON object (RFC 8259):
  *   { "machine": ..., "cycles": ..., "breakdown": {...}, "srf": {...},
  *     "dram": {...}, "cache": {...}?, "kernels": [...], "energy": {...},
- *     "samples": [...]? }
- * Counter values match the text report exactly; "samples" appears only
- * when the machine has an active StatSampler with recorded intervals.
+ *     "profile": {...}? }
+ * Counter values match the text report exactly; "profile" appears only
+ * when the machine was profiled.
  */
 std::string machineReportJson(Machine &m, const ReportOptions &opts = {});
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 
+#include "util/json.h"
 #include "util/jsonl.h"
 #include "util/log.h"
 
@@ -28,50 +29,12 @@ bool
 splitJsonArray(const std::string &raw, std::vector<std::string> &out)
 {
     out.clear();
-    size_t i = 0, n = raw.size();
-    while (i < n && isspace(static_cast<unsigned char>(raw[i])))
-        i++;
-    if (i >= n || raw[i] != '[')
+    std::vector<JsonMemberSpan> elems;
+    if (!jsonScan(raw, '[', elems))
         return false;
-    i++;
-    int depth = 0;
-    bool inStr = false, esc = false;
-    size_t start = std::string::npos;
-    for (; i < n; i++) {
-        char c = raw[i];
-        if (inStr) {
-            if (esc)
-                esc = false;
-            else if (c == '\\')
-                esc = true;
-            else if (c == '"')
-                inStr = false;
-            continue;
-        }
-        if (isspace(static_cast<unsigned char>(c)) && depth == 0 &&
-            start == std::string::npos)
-            continue;
-        if (depth == 0 && (c == ',' || c == ']')) {
-            if (start != std::string::npos) {
-                out.push_back(raw.substr(start, i - start));
-                start = std::string::npos;
-            } else if (c == ',') {
-                return false;  // empty element
-            }
-            if (c == ']')
-                return true;
-            continue;
-        }
-        if (start == std::string::npos)
-            start = i;
-        if (c == '"')
-            inStr = true;
-        else if (c == '{' || c == '[')
-            depth++;
-        else if (c == '}' || c == ']')
-            depth--;
-    }
-    return false;  // unterminated
+    for (const JsonMemberSpan &e : elems)
+        out.push_back(raw.substr(e.begin, e.end - e.begin));
+    return true;
 }
 
 namespace {

@@ -93,9 +93,9 @@ PerfDiffResult perfDiffFiles(const std::string &baselinePath,
                              const PerfDiffOptions &opts = {});
 
 /**
- * Split a serialized JSON array into its top-level element texts
- * (JsonWriter-style single-line input). @return false when `raw` is
- * not a JSON array.
+ * Split a serialized JSON array into its top-level element texts,
+ * without surrounding space. @return false when `raw` is not exactly
+ * one valid JSON array.
  */
 bool splitJsonArray(const std::string &raw,
                     std::vector<std::string> &out);

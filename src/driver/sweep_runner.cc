@@ -44,9 +44,6 @@ constexpr uint64_t kJournalVersion = 1;
  *
  *   traceSpec           event tracing is side-effect-free
  *   traceCapacity       ring size only bounds what --trace exports
- *   statSampleInterval  samples read counters, never write state
- *                       (canonicalJob pins its legacy key to the
- *                       default 0 — see there)
  *   profileEnabled      host-time profiling reads only the wall clock
  *   profileStride       ditto
  *
@@ -58,8 +55,7 @@ const std::vector<std::string> &
 observabilityKnobList()
 {
     static const std::vector<std::string> knobs = {
-        "traceSpec",      "traceCapacity", "statSampleInterval",
-        "profileEnabled", "profileStride",
+        "traceSpec", "traceCapacity", "profileEnabled", "profileStride",
     };
     return knobs;
 }
@@ -150,11 +146,11 @@ canonicalJob(const SweepJob &job)
     addU("crossLaneSeparation", c.crossLaneSeparation);
     addU("kernelStartOverhead", c.kernelStartOverhead);
     addD("commOccupancy", c.commOccupancy);
-    // statSampleInterval became an excluded observability knob after
-    // journals containing this key already existed: the key stays, but
-    // pinned to its default so every sampling setting produces the
-    // same canonical text (and pre-existing journals — all written
-    // with the default — resume without a version bump).
+    // The interval stat sampler was removed after journals containing
+    // its statSampleInterval key already existed (it had by then been
+    // excluded as an observability knob): the key stays, pinned to the
+    // default 0 every such journal was written with, so fingerprints
+    // are unchanged and those journals resume without a version bump.
     addU("statSampleInterval", 0);
     addU("seed", c.seed);
 
@@ -366,11 +362,13 @@ SweepRunner::loadJournal(const std::string &path)
     for (size_t i = 1; i < raw.records.size(); i++) {
         JsonLineView v(raw.records[i]);
         SweepJournalRecord rec;
-        std::string status;
+        // Replay needs only the status and result, but a record that
+        // lacks its workload or machine name is not one we wrote.
+        std::string status, name;
         if (!v.valid() || !v.getString("type", type) ||
             type != "attempt" || !v.getU64("job", rec.job) ||
-            !v.getString("workload", rec.workload) ||
-            !v.getString("machine", rec.machine) ||
+            !v.getString("workload", name) ||
+            !v.getString("machine", name) ||
             !v.getString("status", status) ||
             !v.getRaw("result", rec.resultText)) {
             load.error = strprintf(
@@ -391,8 +389,6 @@ SweepRunner::loadJournal(const std::string &path)
                           path.c_str(), i + 1, status.c_str());
             return load;
         }
-        v.getDouble("wall_s", rec.wallSeconds);
-        v.getString("error", rec.error);
         load.latest[rec.job] = std::move(rec);
     }
     load.ok = true;

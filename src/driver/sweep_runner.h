@@ -10,7 +10,7 @@
  * regardless of completion order.
  *
  * Soundness rests on the de-globalized simulation core: every Machine
- * owns its Tracer and StatSampler, and all ISRF_* environment reads
+ * owns its Tracer and Profiler, and all ISRF_* environment reads
  * happen once, up front, in MachineConfig::fromEnv() — never from a
  * worker thread. A job therefore touches no mutable process-global
  * state except the (mutex-guarded) CLI trace shim and progress
@@ -121,12 +121,8 @@ struct SweepPolicy
 struct SweepJournalRecord
 {
     uint64_t job = 0;          ///< job fingerprint
-    std::string workload;
-    std::string machine;
     RunStatus status = RunStatus::Done;
-    double wallSeconds = 0.0;
     std::string resultText;    ///< raw resultJson bytes
-    std::string error;
 };
 
 /** Decoded journal: header + last record per job fingerprint. */

@@ -59,9 +59,10 @@ class Engine
 
     /**
      * Unregister every component and reset the clock to zero. The one
-     * sanctioned way to rebuild a machine on the same engine: clearing
-     * both together keeps interval components (StatSampler) that
-     * latch absolute cycle numbers in sync with the clock.
+     * sanctioned way to rebuild a machine on the same engine:
+     * Machine::init calls it before registering itself again, so a
+     * re-initialized machine is ticked once per cycle and starts at
+     * cycle 0, like a fresh one.
      */
     void clear();
 
@@ -108,8 +109,8 @@ class Engine
 
     // resetClock() was removed: it reset now_ without resetting the
     // components, silently desynchronizing anything that latches
-    // absolute cycle numbers (sampler boundaries). Use clear() and
-    // re-register instead.
+    // absolute cycle numbers (a kernel's start cycle, trace
+    // timestamps). Use clear() and re-register instead.
 
     size_t componentCount() const { return components_.size(); }
 

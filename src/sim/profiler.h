@@ -3,11 +3,11 @@
  * Host-side self-profiler: where does the simulator's *wall-clock*
  * time go?
  *
- * The tracer and sampler (sim/trace.h, sim/stat_sampler.h) observe
- * *simulated* time; this profiler attributes *host* time to a fixed
- * set of phases (component ticks, SRF port arbitration, the memory
- * system, journal fsyncs, report serialization) so the ROADMAP's "as fast as the hardware allows"
- * work can be profile-driven instead of guessed.
+ * The tracer (sim/trace.h) observes *simulated* time; this profiler
+ * attributes *host* time to a fixed set of phases (component ticks,
+ * SRF port arbitration, the memory system, journal fsyncs, report
+ * serialization) so performance work can be profile-driven instead
+ * of guessed.
  *
  * Design constraints, in order:
  *  1. Zero observable effect on simulation results. The profiler only

@@ -52,7 +52,6 @@ typeName(TraceEventType t)
       case TraceEventType::Begin: return "B";
       case TraceEventType::End: return "E";
       case TraceEventType::Instant: return "i";
-      case TraceEventType::Counter: return "C";
     }
     return "?";
 }
@@ -251,9 +250,7 @@ Tracer::chromeJson() const
         out << "{\"name\":\"" << JsonWriter::escape(e.name) << "\",\"ph\":\""
             << typeName(e.type) << "\",\"ts\":" << e.ts
             << ",\"pid\":0,\"tid\":" << e.channel;
-        if (e.type == TraceEventType::Counter)
-            out << ",\"args\":{\"value\":" << e.arg << "}";
-        else if (e.type == TraceEventType::Instant)
+        if (e.type == TraceEventType::Instant)
             out << ",\"s\":\"t\",\"args\":{\"arg\":" << e.arg << "}";
         else
             out << ",\"args\":{\"arg\":" << e.arg << "}";
@@ -265,28 +262,10 @@ Tracer::chromeJson() const
     return out.str();
 }
 
-std::string
-Tracer::csv() const
-{
-    std::ostringstream out;
-    out << "cycle,channel,type,name,arg\n";
-    for (const TraceEvent &e : lastEvents(count_)) {
-        out << e.ts << "," << channelName(e.channel) << ","
-            << typeName(e.type) << "," << e.name << "," << e.arg << "\n";
-    }
-    return out.str();
-}
-
 bool
 Tracer::writeChromeJson(const std::string &path) const
 {
     return writeTextFile(path, chromeJson());
-}
-
-bool
-Tracer::writeCsv(const std::string &path) const
-{
-    return writeTextFile(path, csv());
 }
 
 void

@@ -3,14 +3,14 @@
  * Cycle-accurate event tracer for the simulator.
  *
  * Components register named *channels* ("srf", "mem", "dram", ...) and
- * emit timestamped events into a bounded ring buffer: Begin/End spans,
- * Instant markers, and Counter samples. Tracing is runtime-enabled —
+ * emit timestamped events into a bounded ring buffer: Begin/End spans
+ * and Instant markers. Tracing is runtime-enabled —
  * via the ISRF_TRACE environment variable or Tracer::enableChannels() —
  * and costs a single predictable branch per call site when off, so the
  * instrumentation can live permanently in hot paths.
  *
  * The buffer exports as Chrome trace-event JSON (loadable in Perfetto
- * or chrome://tracing; one "thread" per channel) and as CSV. The tail
+ * or chrome://tracing; one "thread" per channel). The tail
  * of the ring can also be dumped on a deadlock panic so hung runs are
  * diagnosable (see Engine::runUntil).
  *
@@ -40,7 +40,6 @@ enum class TraceEventType : uint8_t {
     Begin,    ///< opens a span on its channel ("ph":"B")
     End,      ///< closes the innermost span ("ph":"E")
     Instant,  ///< a point-in-time marker ("ph":"i")
-    Counter,  ///< a named value sample ("ph":"C")
 };
 
 /** One entry in the trace ring buffer. */
@@ -50,7 +49,7 @@ struct TraceEvent
     uint16_t channel = 0;   ///< channel id from Tracer::channel()
     TraceEventType type = TraceEventType::Instant;
     const char *name = "";  ///< static string; not owned
-    uint64_t arg = 0;       ///< payload: counter value, slot id, ...
+    uint64_t arg = 0;       ///< payload: lane, bank, slot id, ...
 };
 
 /**
@@ -90,8 +89,6 @@ class Tracer
 
     /** Channel name for an id (empty if unknown). */
     const std::string &channelName(uint16_t id) const;
-
-    size_t channelCount() const { return channels_.size(); }
 
     /**
      * Enable channels from a spec: "all"/"1" for everything, "0"/"" for
@@ -157,11 +154,6 @@ class Tracer
     {
         record(ch, TraceEventType::Instant, name, ts, arg);
     }
-    void
-    counter(uint16_t ch, const char *name, Cycle ts, uint64_t value)
-    {
-        record(ch, TraceEventType::Counter, name, ts, value);
-    }
 
     // ------------------------------------------------------------------
     // Inspection / export
@@ -185,14 +177,8 @@ class Tracer
     /** Render the buffer as Chrome trace-event JSON. */
     std::string chromeJson() const;
 
-    /** Render the buffer as "cycle,channel,type,name,arg" CSV. */
-    std::string csv() const;
-
     /** Write chromeJson() to a file. @return false on I/O error. */
     bool writeChromeJson(const std::string &path) const;
-
-    /** Write csv() to a file. @return false on I/O error. */
-    bool writeCsv(const std::string &path) const;
 
     /**
      * Dump the last n events to a stream (deadlock diagnostics).
@@ -223,43 +209,6 @@ class Tracer
     size_t head_ = 0;   ///< next write position
     size_t count_ = 0;  ///< valid events in the ring
     uint64_t totalRecorded_ = 0;
-};
-
-/**
- * RAII Begin/End span helper:
- *   { TraceScope s(tracer, ch, "kernel", now); ... s.close(later); }
- * If close() is never called the span ends at the construction cycle.
- */
-class TraceScope
-{
-  public:
-    TraceScope(Tracer &t, uint16_t ch, const char *name, Cycle start,
-               uint64_t arg = 0)
-        : t_(t), ch_(ch), name_(name), last_(start)
-    {
-        if (t_.on())
-            t_.begin(ch_, name_, start, arg);
-    }
-    void
-    close(Cycle end)
-    {
-        last_ = end;
-        closed_ = true;
-        if (t_.on())
-            t_.end(ch_, name_, end);
-    }
-    ~TraceScope()
-    {
-        if (!closed_ && t_.on())
-            t_.end(ch_, name_, last_);
-    }
-
-  private:
-    Tracer &t_;
-    uint16_t ch_;
-    const char *name_;
-    Cycle last_;
-    bool closed_ = false;
 };
 
 } // namespace isrf

@@ -964,13 +964,4 @@ Srf::subArrayConflicts() const
     return n;
 }
 
-uint32_t
-Srf::maxRemoteQueueDepth() const
-{
-    size_t n = 0;
-    for (const auto &b : banks_)
-        n = std::max(n, b.remoteQueueSize());
-    return static_cast<uint32_t>(n);
-}
-
 } // namespace isrf

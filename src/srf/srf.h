@@ -232,9 +232,6 @@ class Srf
     uint64_t idxCrossWords() const { return idxCrossWords_; }
     uint64_t subArrayConflicts() const;
 
-    /** Deepest per-bank cross-lane request queue right now (gauge). */
-    uint32_t maxRemoteQueueDepth() const;
-
   private:
     struct LaneSlotState
     {

@@ -80,7 +80,6 @@ class SrfBank
     bool hasRemote() const { return !remoteQueue_.empty(); }
     RemoteRequest &remoteHead() { return remoteQueue_.front(); }
     void popRemote() { remoteQueue_.pop_front(); }
-    size_t remoteQueueSize() const { return remoteQueue_.size(); }
 
     const std::vector<SubArray> &subArrays() const { return subArrays_; }
 

@@ -26,25 +26,6 @@ parseU64(const std::string &text, uint64_t &out)
     return true;
 }
 
-bool
-parseI64(const std::string &text, int64_t &out)
-{
-    bool neg = !text.empty() && text[0] == '-';
-    uint64_t mag = 0;
-    if (!parseU64(neg ? text.substr(1) : text, mag))
-        return false;
-    if (neg) {
-        if (mag > 0x8000000000000000ull)
-            return false;
-        out = -static_cast<int64_t>(mag - 1) - 1;
-    } else {
-        if (mag > 0x7fffffffffffffffull)
-            return false;
-        out = static_cast<int64_t>(mag);
-    }
-    return true;
-}
-
 uint64_t
 envU64(const char *name, uint64_t def, std::vector<std::string> *errs)
 {

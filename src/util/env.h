@@ -2,7 +2,7 @@
  * @file
  * Validated environment-variable parsing.
  *
- * The ISRF_* tuning variables (ISRF_SAMPLE, ISRF_TRACE_CAPACITY, ...)
+ * The numeric ISRF_* tuning variables (ISRF_TRACE_CAPACITY, ...)
  * used to be read with atol(), which silently accepts garbage and
  * overflows. These helpers parse strictly (strtoull + errno +
  * end-pointer checks) and let callers collect every violation before
@@ -23,13 +23,6 @@ namespace isrf {
  * junk, no overflow. @return false (out untouched) on any violation.
  */
 bool parseU64(const std::string &text, uint64_t &out);
-
-/**
- * Strictly parse a base-10 signed integer: optional leading '-', no
- * trailing junk, no overflow. @return false (out untouched) on any
- * violation.
- */
-bool parseI64(const std::string &text, int64_t &out);
 
 /**
  * Read an environment variable as a u64. On unset, returns `def`.

@@ -163,6 +163,9 @@ struct JsonCursor
 {
     const char *p;
     const char *end;
+    const char *base;  ///< start of the text; spans are offsets from it
+    /** Where to record top-level member spans (null: validate only). */
+    std::vector<JsonMemberSpan> *members = nullptr;
     int depth = 0;
 
     bool atEnd() const { return p >= end; }
@@ -177,6 +180,17 @@ struct JsonCursor
         while (!atEnd() &&
                (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
             p++;
+    }
+    /** Record a member that ends at p, if it is a top-level one. */
+    void
+    member(const char *key, const char *keyEnd, const char *value)
+    {
+        if (!members || depth != 1)
+            return;
+        members->push_back({static_cast<size_t>(key - base),
+                            static_cast<size_t>(keyEnd - base),
+                            static_cast<size_t>(value - base),
+                            static_cast<size_t>(p - base)});
     }
 };
 
@@ -275,14 +289,19 @@ parseObject(JsonCursor &c)
     }
     while (true) {
         c.skipWs();
+        const char *key = c.p;
         if (!parseString(c))
             return false;
+        const char *keyEnd = c.p;
         c.skipWs();
         if (c.peek() != ':')
             return false;
         c.p++;
+        c.skipWs();
+        const char *value = c.p;
         if (!parseValue(c))
             return false;
+        c.member(key + 1, keyEnd - 1, value);
         c.skipWs();
         if (c.peek() == ',') {
             c.p++;
@@ -306,8 +325,11 @@ parseArray(JsonCursor &c)
         return true;
     }
     while (true) {
+        c.skipWs();
+        const char *value = c.p;
         if (!parseValue(c))
             return false;
+        c.member(value, value, value);
         c.skipWs();
         if (c.peek() == ',') {
             c.p++;
@@ -341,16 +363,36 @@ parseValue(JsonCursor &c)
     return ok;
 }
 
+/** Parse `text` as one value; `open` ('{' or '['), if set, must start it. */
+bool
+parseText(const std::string &text, char open,
+          std::vector<JsonMemberSpan> *members)
+{
+    JsonCursor c{text.data(), text.data() + text.size(), text.data(),
+                 members};
+    c.skipWs();
+    if (open && c.peek() != open)
+        return false;
+    if (!parseValue(c))
+        return false;
+    c.skipWs();
+    return c.atEnd();
+}
+
 } // namespace
 
 bool
 jsonValid(const std::string &text)
 {
-    JsonCursor c{text.data(), text.data() + text.size()};
-    if (!parseValue(c))
-        return false;
-    c.skipWs();
-    return c.atEnd();
+    return parseText(text, '\0', nullptr);
+}
+
+bool
+jsonScan(const std::string &text, char open,
+         std::vector<JsonMemberSpan> &members)
+{
+    members.clear();
+    return parseText(text, open, &members);
 }
 
 bool

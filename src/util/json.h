@@ -3,10 +3,11 @@
  * Minimal JSON emission and validation.
  *
  * JsonWriter is a streaming writer with automatic comma placement and
- * string escaping — enough to export machine reports, benchmark
- * results, and stat samples without a third-party dependency.
- * jsonValid() is a strict structural validator used by tests and tools
- * to check exported files without parsing them into a DOM.
+ * string escaping — enough to export machine reports and benchmark
+ * results without a third-party dependency. jsonValid() is a strict
+ * structural validator used by tests and tools to check exported files
+ * without parsing them into a DOM; jsonScan() is the same parse, which
+ * also locates the top-level members of an object or array.
  */
 #ifndef ISRF_UTIL_JSON_H
 #define ISRF_UTIL_JSON_H
@@ -76,6 +77,25 @@ class JsonWriter
  * @return true iff `text` is exactly one valid JSON value.
  */
 bool jsonValid(const std::string &text);
+
+/** Byte spans of one top-level member of a JSON object or array. */
+struct JsonMemberSpan
+{
+    /** [keyBegin, keyEnd): an object key's escaped text, no quotes. */
+    size_t keyBegin = 0, keyEnd = 0;
+    /** [begin, end): the value's text, without surrounding space. */
+    size_t begin = 0, end = 0;
+};
+
+/**
+ * jsonValid() for an object (`open` = '{') or an array (`open` = '['),
+ * which also records, in order, the span of each top-level member or
+ * element. Array elements have an empty key span. @return false, with
+ * `members` unspecified, when `text` is not exactly one valid JSON
+ * value of that kind.
+ */
+bool jsonScan(const std::string &text, char open,
+              std::vector<JsonMemberSpan> &members);
 
 /** Write a string to a file. @return false on I/O error. */
 bool writeTextFile(const std::string &path, const std::string &content);

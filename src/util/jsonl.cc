@@ -1,6 +1,5 @@
 #include "util/jsonl.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -196,92 +195,15 @@ jsonUnescape(const std::string &s)
     return out;
 }
 
-namespace {
-
-/** Skip one JSON value starting at `pos`; return one-past-end. */
-size_t
-skipValue(const std::string &s, size_t pos)
-{
-    const size_t n = s.size();
-    while (pos < n && std::isspace(static_cast<unsigned char>(s[pos])))
-        pos++;
-    if (pos >= n)
-        return n;
-    char c = s[pos];
-    if (c == '"') {
-        pos++;
-        while (pos < n) {
-            if (s[pos] == '\\')
-                pos++;  // skip the escaped char
-            else if (s[pos] == '"')
-                return pos + 1;
-            pos++;
-        }
-        return n;
-    }
-    if (c == '{' || c == '[') {
-        int depth = 0;
-        bool inStr = false;
-        while (pos < n) {
-            char d = s[pos];
-            if (inStr) {
-                if (d == '\\')
-                    pos++;
-                else if (d == '"')
-                    inStr = false;
-            } else if (d == '"') {
-                inStr = true;
-            } else if (d == '{' || d == '[') {
-                depth++;
-            } else if (d == '}' || d == ']') {
-                depth--;
-                if (depth == 0)
-                    return pos + 1;
-            }
-            pos++;
-        }
-        return n;
-    }
-    // number / literal: runs to the next delimiter
-    while (pos < n && s[pos] != ',' && s[pos] != '}' && s[pos] != ']' &&
-           !std::isspace(static_cast<unsigned char>(s[pos])))
-        pos++;
-    return pos;
-}
-
-} // namespace
-
 JsonLineView::JsonLineView(std::string line) : line_(std::move(line))
 {
-    if (!jsonValid(line_))
+    std::vector<JsonMemberSpan> members;
+    if (!jsonScan(line_, '{', members))
         return;
-    const size_t n = line_.size();
-    size_t pos = 0;
-    while (pos < n && std::isspace(static_cast<unsigned char>(line_[pos])))
-        pos++;
-    if (pos >= n || line_[pos] != '{')
-        return;
-    pos++;
-    while (pos < n) {
-        while (pos < n &&
-               (std::isspace(static_cast<unsigned char>(line_[pos])) ||
-                line_[pos] == ','))
-            pos++;
-        if (pos >= n || line_[pos] == '}')
-            break;
-        // key (jsonValid guaranteed the structure; scan the string)
-        size_t keyEnd = skipValue(line_, pos);
-        std::string key =
-            jsonUnescape(line_.substr(pos + 1, keyEnd - pos - 2));
-        pos = keyEnd;
-        while (pos < n && (std::isspace(
-                   static_cast<unsigned char>(line_[pos])) ||
-                           line_[pos] == ':'))
-            pos++;
-        size_t valEnd = skipValue(line_, pos);
-        spans_.emplace(key, std::make_pair(pos, valEnd));
-        pos = valEnd;
-    }
+    for (const JsonMemberSpan &m : members)
+        spans_.emplace(
+            jsonUnescape(line_.substr(m.keyBegin, m.keyEnd - m.keyBegin)),
+            std::make_pair(m.begin, m.end));
     valid_ = true;
 }
 

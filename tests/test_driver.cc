@@ -6,7 +6,7 @@
  *  - thread-count invariance: a sweep's results serialize
  *    bit-identically whether run on 1 thread or N
  *  - per-machine isolation: two Machines in one process with different
- *    sampler/trace configurations don't leak state into each other
+ *    trace/profile configurations don't leak state into each other
  *  - explicit env snapshotting: MachineConfig::make() never reads the
  *    environment; only fromEnv() does, and invalid values are
  *    diagnosed and defaulted instead of silently misparsed
@@ -127,23 +127,23 @@ TEST(SweepRunner, TimingAccountsForEveryJob)
               runner.timing().sumJobSeconds * 0.5);
 }
 
-TEST(MachineIsolation, SamplerAndTraceConfigsDoNotLeak)
+TEST(MachineIsolation, TraceAndProfileConfigsDoNotLeak)
 {
-    // Machine A: stat sampling + tracing. Machine B: neither. Both
+    // Machine A: tracing + host profiling. Machine B: neither. Both
     // live in the same process at the same time; A's configuration
     // must not bleed into B.
     MachineConfig cfgA = MachineConfig::make(MachineKind::ISRF4);
-    cfgA.statSampleInterval = 64;
     cfgA.traceSpec = "all";
+    cfgA.profileEnabled = true;
     MachineConfig cfgB = MachineConfig::make(MachineKind::ISRF4);
 
     Machine a, b;
     a.init(cfgA);
     b.init(cfgB);
 
-    EXPECT_NE(a.sampler(), nullptr);
-    EXPECT_EQ(b.sampler(), nullptr)
-        << "B must not inherit A's sampler config";
+    EXPECT_TRUE(a.profiler().enabled());
+    EXPECT_FALSE(b.profiler().enabled())
+        << "B must not inherit A's profile config";
     EXPECT_TRUE(a.tracer().on());
     EXPECT_FALSE(b.tracer().on())
         << "B must not inherit A's trace config";
@@ -156,9 +156,9 @@ TEST(MachineIsolation, SamplerAndTraceConfigsDoNotLeak)
     m1.init(cfgA);
     m2.init(cfgB);
     EXPECT_TRUE(m1.tracer().on());
-    EXPECT_NE(m1.sampler(), nullptr);
+    EXPECT_TRUE(m1.profiler().enabled());
     EXPECT_EQ(m2.tracer().size(), 0u);
-    EXPECT_EQ(m2.sampler(), nullptr);
+    EXPECT_FALSE(m2.profiler().enabled());
 }
 
 TEST(MachineIsolation, ConcurrentTracedMachinesStayPrivate)
@@ -183,36 +183,68 @@ TEST(MachineIsolation, ConcurrentTracedMachinesStayPrivate)
 
 TEST(EnvSnapshot, MakeNeverReadsEnvironment)
 {
-    ScopedEnv sample("ISRF_SAMPLE", "128");
+    ScopedEnv profile("ISRF_PROFILE", "on:32");
     ScopedEnv trace("ISRF_TRACE", "srf,dram");
 
     MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
-    EXPECT_EQ(cfg.statSampleInterval, 0u);
+    EXPECT_FALSE(cfg.profileEnabled);
     EXPECT_TRUE(cfg.traceSpec.empty());
 
     // A Machine built from an env-free config ignores the environment.
     Machine m;
     m.init(cfg);
-    EXPECT_EQ(m.sampler(), nullptr);
+    EXPECT_FALSE(m.profiler().enabled());
     EXPECT_FALSE(m.tracer().on());
 
     // fromEnv() is the one explicit snapshot point.
     cfg.fromEnv();
-    EXPECT_EQ(cfg.statSampleInterval, 128u);
+    EXPECT_TRUE(cfg.profileEnabled);
+    EXPECT_EQ(cfg.profileStride, 32u);
     EXPECT_EQ(cfg.traceSpec, "srf,dram");
 }
 
 TEST(EnvSnapshot, InvalidValuesWarnAndDefault)
 {
-    ScopedEnv sample("ISRF_SAMPLE", "10 cycles");
+    ScopedEnv profile("ISRF_PROFILE", "on:10 cycles");
     ScopedEnv cap("ISRF_TRACE_CAPACITY", "99999999999999999999999");
     ScopedEnv trace("ISRF_TRACE", nullptr);
 
     MachineConfig cfg = MachineConfig::make(MachineKind::Base).fromEnv();
-    EXPECT_EQ(cfg.statSampleInterval, 0u)
-        << "unparseable ISRF_SAMPLE must fall back to the default";
+    EXPECT_FALSE(cfg.profileEnabled)
+        << "unparseable ISRF_PROFILE must fall back to the default";
+    EXPECT_EQ(cfg.profileStride, 64u);
     EXPECT_EQ(cfg.traceCapacity, uint64_t{1} << 16)
         << "overflowing ISRF_TRACE_CAPACITY must fall back";
+}
+
+TEST(EnvSnapshot, UnreadVariableIsNamedAndIgnored)
+{
+    // ISRF_SAMPLE set the interval of a stat sampler that no longer
+    // exists. fromEnv() must say so instead of ignoring it silently.
+    ScopedEnv sample("ISRF_SAMPLE", "64");
+    ScopedEnv profile("ISRF_PROFILE", nullptr);
+    ScopedEnv cap("ISRF_TRACE_CAPACITY", nullptr);
+    ScopedEnv trace("ISRF_TRACE", nullptr);
+
+    const SweepJob plain{"Sort", MachineConfig::make(MachineKind::ISRF4),
+                         {}, {}};
+    SweepJob job = plain;
+    ::testing::internal::CaptureStderr();
+    job.cfg.fromEnv();
+    std::string err = ::testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(err.find("ignoring "), err.rfind("ignoring "))
+        << "one warning expected: " << err;
+    size_t at = err.find("ISRF_SAMPLE is not a known setting");
+    EXPECT_NE(at, std::string::npos) << err;
+    EXPECT_EQ(at, err.rfind("ISRF_SAMPLE")) << err;
+
+    EXPECT_EQ(SweepRunner::canonicalJobText(job),
+              SweepRunner::canonicalJobText(plain));
+    EXPECT_TRUE(job.cfg.traceSpec.empty());
+    EXPECT_EQ(job.cfg.traceCapacity, plain.cfg.traceCapacity);
+    EXPECT_FALSE(job.cfg.profileEnabled);
+    EXPECT_EQ(job.cfg.profileStride, plain.cfg.profileStride);
 }
 
 // ----------------------------------------------------------------------
@@ -592,13 +624,12 @@ TEST(SweepResilience, FingerprintSeparatesExperiments)
               SweepRunner::fingerprint(other));
 
     // Observability-only knobs do NOT change the fingerprint: a
-    // journal resumes traced or not, profiled or not, sampled or not.
+    // journal resumes traced or not, profiled or not.
     other = base;
     other.cfg.traceSpec = "all";
     other.cfg.traceCapacity = 4096;
     other.cfg.profileEnabled = true;
     other.cfg.profileStride = 8;
-    other.cfg.statSampleInterval = 100;
     EXPECT_EQ(SweepRunner::fingerprint(base),
               SweepRunner::fingerprint(other));
 }
@@ -611,27 +642,17 @@ TEST(SweepResilience, CanonicalTextExcludesObservabilityKnobs)
     std::string text = SweepRunner::canonicalJobText(job);
 
     // The centralized exclusion list and the canonical text must
-    // agree: no excluded knob may appear as a key. (statSampleInterval
-    // is the one exception — its key predates the exclusion list and
-    // stays in the text for journal compatibility, pinned to the
-    // default value 0 so the knob's setting cannot affect it.)
+    // agree: no excluded knob may appear as a key.
     for (const std::string &knob : SweepRunner::observabilityKnobs()) {
-        if (knob == "statSampleInterval") {
-            EXPECT_NE(text.find("statSampleInterval=0;"),
-                      std::string::npos)
-                << text;
-            continue;
-        }
         EXPECT_EQ(text.find(knob + "="), std::string::npos)
             << "excluded knob '" << knob
             << "' leaked into canonical text: " << text;
     }
 
-    // Pinned means pinned: setting the sampler knob leaves the text
-    // byte-identical.
-    auto sampled = job;
-    sampled.cfg.statSampleInterval = 1000;
-    EXPECT_EQ(text, SweepRunner::canonicalJobText(sampled));
+    // The removed interval sampler's key predates the exclusion list:
+    // it stays in the text for journal compatibility, pinned to 0.
+    EXPECT_NE(text.find("statSampleInterval=0;"), std::string::npos)
+        << text;
 }
 
 TEST(SweepResilience, FingerprintsMatchGoldenSeedValues)
@@ -681,6 +702,42 @@ TEST(SweepResilience, LoadJournalDiagnosesBadFiles)
     EXPECT_FALSE(load.ok);
     EXPECT_NE(load.error.find("header"), std::string::npos)
         << load.error;
+}
+
+TEST(SweepResilience, JobRecordWithoutWorkloadOrMachineIsRejected)
+{
+    // Replay reads only a record's status and result, but a journal is
+    // input from outside the program: a record missing its workload or
+    // machine name is not one a sweep wrote.
+    const std::string head =
+        R"({"type":"header","version":1,"sweep":7,"jobs":1})";
+    const std::string full = R"({"type":"attempt","job":9,)"
+                             R"("workload":"Sort","machine":"Base",)"
+                             R"("status":"done","result":{}})";
+    auto loadWith = [&](const std::string &record) {
+        TempJournal journal("fields");
+        JsonlWriter w;
+        EXPECT_TRUE(w.open(journal.path(), false));
+        EXPECT_TRUE(w.append(head));
+        EXPECT_TRUE(w.append(record));
+        w.close();
+        return SweepRunner::loadJournal(journal.path());
+    };
+
+    auto load = loadWith(full);
+    ASSERT_TRUE(load.ok) << load.error;
+    EXPECT_EQ(load.latest.count(9), 1u);
+
+    for (const char *field : {R"("workload":"Sort",)",
+                              R"("machine":"Base",)"}) {
+        std::string record = full;
+        record.erase(record.find(field), std::string(field).size());
+        load = loadWith(record);
+        EXPECT_FALSE(load.ok) << record;
+        EXPECT_NE(load.error.find("line 2 is not a journal job record"),
+                  std::string::npos)
+            << load.error;
+    }
 }
 
 TEST(EnvSnapshot, ParseU64RejectsGarbage)

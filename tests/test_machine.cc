@@ -322,12 +322,10 @@ rampData(size_t n)
 
 TEST(MachineReinit, SecondInitMatchesFreshMachine)
 {
-    // statSampleInterval registers a Ticked component owned by a
-    // unique_ptr that init() re-creates; before Engine::clear()
-    // existed, the second init() left the engine ticking a dangling
-    // pointer (caught by ASan) and kept the old clock running.
+    // init() registers the machine with its engine; without
+    // Engine::clear() a second init() would register it twice and
+    // keep the old clock running.
     MachineConfig cfg = MachineConfig::isrf4();
-    cfg.statSampleInterval = 256;
     cfg.dram.capacityWords = 1 << 16;
 
     Machine fresh;
@@ -344,6 +342,7 @@ TEST(MachineReinit, SecondInitMatchesFreshMachine)
     // stat, the clock, and the report must match a fresh machine.
     m.init(cfg);
     EXPECT_EQ(m.now(), 0u);
+    EXPECT_EQ(m.engine().componentCount(), fresh.engine().componentCount());
     EXPECT_EQ(runCopyProgram(m, rampData(256)), freshCycles);
     EXPECT_EQ(machineReportJson(m), freshReport);
 }

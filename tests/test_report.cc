@@ -157,77 +157,6 @@ TEST(ReportJson, CacheSectionOnlyOnCacheMachine)
     EXPECT_EQ(machineReportJson(b).find("\"cache\""), std::string::npos);
 }
 
-TEST(Sampler, RecordsIntervalsAtConfiguredRate)
-{
-    Machine m;
-    MachineConfig cfg = MachineConfig::isrf4();
-    cfg.statSampleInterval = 64;
-    runCopyProgram(m, cfg);
-
-    ASSERT_NE(m.sampler(), nullptr);
-    const auto &ivs = m.sampler()->intervals();
-    ASSERT_FALSE(ivs.empty());
-    for (const StatInterval &iv : ivs) {
-        EXPECT_EQ(iv.end - iv.start, 64u);
-        EXPECT_EQ(iv.end % 64, 0u);
-    }
-    // Intervals tile the run contiguously.
-    for (size_t i = 1; i < ivs.size(); i++)
-        EXPECT_EQ(ivs[i].start, ivs[i - 1].end);
-}
-
-TEST(Sampler, DeltasSumToMachineCounters)
-{
-    Machine m;
-    MachineConfig cfg = MachineConfig::isrf4();
-    cfg.statSampleInterval = 32;
-    runCopyProgram(m, cfg);
-
-    ASSERT_NE(m.sampler(), nullptr);
-    // Flush the partial final interval so deltas cover the whole run.
-    m.sampler()->sampleNow(m.now());
-    uint64_t dramDeltaSum = 0;
-    for (const StatInterval &iv : m.sampler()->intervals()) {
-        auto it = iv.deltas.find("dram.words");
-        ASSERT_NE(it, iv.deltas.end());
-        dramDeltaSum += it->second;
-    }
-    EXPECT_EQ(dramDeltaSum, m.mem().dram().wordsTransferred());
-}
-
-TEST(Sampler, AppearsInJsonReportAndCsv)
-{
-    Machine m;
-    MachineConfig cfg = MachineConfig::isrf4();
-    cfg.statSampleInterval = 64;
-    runCopyProgram(m, cfg);
-    ASSERT_NE(m.sampler(), nullptr);
-
-    std::string json = machineReportJson(m);
-    ASSERT_TRUE(jsonValid(json));
-    EXPECT_NE(json.find("\"samples\":["), std::string::npos);
-    EXPECT_NE(json.find("\"deltas\""), std::string::npos);
-    EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-
-    std::string csv = m.sampler()->csv();
-    EXPECT_EQ(csv.substr(0, csv.find('\n')),
-              "start,end,stat,value,kind");
-    EXPECT_NE(csv.find("dram.words"), std::string::npos);
-    EXPECT_NE(csv.find(",gauge"), std::string::npos);
-}
-
-TEST(Sampler, DisabledByDefault)
-{
-    Machine m;
-    MachineConfig cfg = MachineConfig::base();
-    cfg.dram.capacityWords = 1 << 16;
-    m.init(cfg);
-    EXPECT_EQ(m.sampler(), nullptr);
-    std::string json = machineReportJson(m);
-    ASSERT_TRUE(jsonValid(json));
-    EXPECT_EQ(json.find("\"samples\":["), std::string::npos);
-}
-
 TEST(ReportJson, ConflictHistogramPresentOnIndexedRun)
 {
     Machine m;
